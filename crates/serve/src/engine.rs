@@ -1,14 +1,18 @@
-//! The admission front and the single-threaded serving engine.
+//! The serve core and the pumped driver.
 //!
-//! `Front` (crate-internal) bundles everything that must sit behind
-//! one lock in the threaded service: the bounded queue, the request
-//! spans, the serve tallies and the batch log. [`ServeEngine`] glues a
-//! `Front` to a [`BatchExecutor`] into the deterministic, explicitly
-//! pumped form the scripted determinism tests drive.
+//! `Front` (crate-internal) is the lock-scoped admission half of one
+//! shard: the bounded queue, the request spans, the serve tallies and
+//! the batch log. `ShardCore` (crate-internal) joins a `Front` to its
+//! [`BatchExecutor`]; `pass` is the one admit → batch → execute loop
+//! over it, and `Router` the one placement, failover and supervision
+//! front over N of them. Two drivers run that core: [`ServeEngine`],
+//! pumped by the caller on a given clock (what the scripted determinism
+//! tests drive), and [`crate::ShardedService`], one batcher thread per
+//! shard.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 
 use canti_farm::{FarmObserver, JobSpec};
 use canti_obs::trace::SpanGuard;
@@ -17,6 +21,10 @@ use canti_obs::ObsClock;
 use crate::exec::BatchExecutor;
 use crate::queue::{AdmissionQueue, BatchTrigger, FormedBatch, Pending, RejectReason};
 use crate::response::{Disposition, ServeResponse};
+use crate::shard::{
+    route_failover, route_request, sum_cache_stats, sum_stats, ShardHealth, ShardedConfig,
+};
+use crate::supervisor::{ShardSupervisor, SupervisorConfig};
 use crate::ServeConfig;
 
 /// Running tallies of everything the serving layer decided.
@@ -77,14 +85,23 @@ pub struct BatchRecord {
     pub trigger: BatchTrigger,
     /// The farm seed the batch ran with.
     pub seed: u64,
-    /// Member request ids in admission order.
+    /// Member request (global) ids in admission order.
     pub request_ids: Vec<u64>,
 }
 
-/// The lock-scoped half of the serving layer: admission, expiry, batch
+/// How a request that was never served ended.
+#[derive(Debug, Clone, Copy)]
+enum Unserved {
+    /// Its deadline (absolute, ns) passed while it waited.
+    Expired { deadline_ns: u64 },
+    /// Shed under brownout, or its shard died.
+    Abandoned(RejectReason),
+}
+
+/// The lock-scoped half of one shard: admission, expiry, batch
 /// formation, spans and tallies. No execution happens here — formed
 /// batches are handed out for the caller to run, so the threaded
-/// service can execute them outside its lock.
+/// driver can execute them outside the shard's lock.
 #[derive(Debug)]
 pub(crate) struct Front {
     queue: AdmissionQueue,
@@ -98,30 +115,24 @@ pub(crate) struct Front {
     /// executor. `None` with caching off.
     cache: Option<Arc<std::sync::Mutex<crate::cache::ReportCache>>>,
     /// Responses for requests answered from the cache at admission,
-    /// buffered until the caller drains them with [`Self::take_hits`]
-    /// (immediately after admit in the threaded service; at the next
-    /// pump in the engine).
+    /// buffered until the core delivers them (immediately after admit
+    /// in the threaded driver; at the next pump in the engine). Every
+    /// one is terminal and already fully accounted.
     hits: Vec<ServeResponse>,
 }
 
 impl Front {
-    /// `instruments` must be the same set the executor records into —
-    /// SLO windows and the request log live on the instrument struct
-    /// itself (not in the name-keyed registry), so a second construction
-    /// would silently split the debug views in half. Likewise `cache`
-    /// must be the same handle the executor inserts into.
-    pub(crate) fn new(
+    /// `cache` must be the handle the executor inserts into.
+    fn new(
         config: ServeConfig,
         clock: Arc<dyn ObsClock>,
-        observer: Option<FarmObserver>,
-        instruments: Option<crate::exec::ServeInstruments>,
         cache: Option<Arc<std::sync::Mutex<crate::cache::ReportCache>>>,
     ) -> Self {
         Self {
             queue: AdmissionQueue::new(config),
             clock,
-            observer,
-            instruments,
+            observer: None,
+            instruments: None,
             spans: BTreeMap::new(),
             stats: ServeStats::default(),
             batch_log: Vec::new(),
@@ -130,100 +141,36 @@ impl Front {
         }
     }
 
-    /// The shard's result-cache tallies (hits, misses, entries, ...),
-    /// when caching is on.
-    pub(crate) fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
-        self.cache.as_ref().map(|c| {
-            c.lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .stats()
-        })
-    }
-
-    /// Drains the buffered cache-hit responses. Every hit response is
-    /// terminal and already fully accounted (stats, counters, SLO,
-    /// request log) — the caller only delivers it.
-    pub(crate) fn take_hits(&mut self) -> Vec<ServeResponse> {
-        std::mem::take(&mut self.hits)
-    }
-
-    pub(crate) fn stats(&self) -> ServeStats {
-        self.stats
-    }
-
-    pub(crate) fn depth(&self) -> usize {
-        self.queue.depth()
-    }
-
-    pub(crate) fn is_draining(&self) -> bool {
-        self.queue.is_draining()
-    }
-
-    pub(crate) fn batch_log(&self) -> &[BatchRecord] {
-        &self.batch_log
-    }
-
-    pub(crate) fn next_wakeup_ns(&self) -> Option<u64> {
-        self.queue.next_wakeup_ns()
-    }
-
-    pub(crate) fn instruments(&self) -> Option<&crate::exec::ServeInstruments> {
-        self.instruments.as_ref()
-    }
-
-    /// Admits `job` (deadline relative to now, falling back to the
-    /// config default) or rejects it, keeping tallies, the queue-depth
+    /// Admits `job` under request key `key` (the global id the router
+    /// assigned) with a deadline relative to now, falling back to the
+    /// config default, or rejects it — keeping tallies, the queue-depth
     /// gauge, the request span and the admission/rejection events.
     pub(crate) fn admit(
         &mut self,
         job: JobSpec,
         deadline_ns: Option<u64>,
-    ) -> Result<u64, RejectReason> {
-        self.admit_keyed(job, deadline_ns, None)
-    }
-
-    /// [`Self::admit`] with an explicit seed key (the global request id
-    /// under a sharded front) — see
-    /// [`crate::queue::AdmissionQueue::submit_keyed`].
-    pub(crate) fn admit_keyed(
-        &mut self,
-        job: JobSpec,
-        deadline_ns: Option<u64>,
-        key: Option<u64>,
-    ) -> Result<u64, RejectReason> {
-        self.admit_prioritized(job, deadline_ns, key, 0)
-    }
-
-    /// [`Self::admit_keyed`] with an explicit brownout priority class.
-    pub(crate) fn admit_prioritized(
-        &mut self,
-        job: JobSpec,
-        deadline_ns: Option<u64>,
-        key: Option<u64>,
+        key: u64,
         priority: u8,
-    ) -> Result<u64, RejectReason> {
+    ) -> Result<(), RejectReason> {
         let now_ns = self.clock.now_ns();
         let kind = job.kind();
         // Content-addressed fast path: a cached answer satisfies any
         // deadline, so the lookup precedes the feasibility check and the
         // capacity gate (a hit occupies no queue slot). Failed/draining
         // still refuse first, inside allocate_cached.
-        if self.cache.is_some() && !self.queue.is_failed() && !self.queue.is_draining() {
-            let job_key = crate::cache::job_key(&job);
-            let hit = self
-                .cache
-                .as_ref()
-                .expect("checked above")
+        let open = !self.queue.is_failed() && !self.queue.is_draining();
+        if let Some(cache) = self.cache.as_ref().filter(|_| open) {
+            let hit = cache
                 .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .lookup(job_key);
+                .unwrap_or_else(PoisonError::into_inner)
+                .lookup(crate::cache::job_key(&job));
             match hit {
                 Some(output) => {
-                    let id = self
-                        .queue
+                    self.queue
                         .allocate_cached()
                         .expect("failed/draining gated above");
-                    return Ok(self.complete_hit(id, key.unwrap_or(id), kind, output, now_ns));
+                    self.complete_hit(key, kind, output, now_ns);
+                    return Ok(());
                 }
                 None => {
                     // no request field: the id is not allocated yet at
@@ -242,16 +189,15 @@ impl Front {
             Some(reason) => Err(reason),
             None => self
                 .queue
-                .submit_prioritized(now_ns, job, deadline_ns, key, priority),
+                .submit_prioritized(now_ns, job, deadline_ns, Some(key), priority),
         };
         match submitted {
             Ok(admitted) => {
-                let id = admitted.id();
                 self.stats.admitted += 1;
                 if let Some(o) = &self.observer {
                     // span fields carry the global key and trace id, so
                     // the chain stays joinable at any shard count
-                    let ctx = canti_obs::TraceContext::from_admission(key.unwrap_or(id));
+                    let ctx = canti_obs::TraceContext::from_admission(key);
                     let span = o.tracer().span(
                         "request",
                         &[
@@ -260,7 +206,7 @@ impl Front {
                             ("kind", kind.into()),
                         ],
                     );
-                    self.spans.insert(id, span);
+                    self.spans.insert(key, span);
                 }
                 if let Some(ins) = &self.instruments {
                     ins.admitted.inc();
@@ -273,7 +219,7 @@ impl Front {
                         // leader's slot
                         self.stats.coalesced += 1;
                         if let Some(o) = &self.observer {
-                            let ctx = canti_obs::TraceContext::from_admission(key.unwrap_or(id));
+                            let ctx = canti_obs::TraceContext::from_admission(key);
                             o.tracer().event(
                                 "coalesced",
                                 &[
@@ -289,7 +235,7 @@ impl Front {
                         }
                     }
                 }
-                Ok(id)
+                Ok(())
             }
             Err(reason) => {
                 self.stats.rejected += 1;
@@ -310,19 +256,18 @@ impl Front {
 
     /// One request answered from the result cache at admission: fully
     /// accounted (tallies, counters, SLO, request log, trace event) and
-    /// buffered for [`Self::take_hits`]. No span opens — the request
+    /// buffered for delivery. No span opens — the request
     /// never enters the queue. On a virtual clock the lookup is
     /// instantaneous (`cache_ns` 0), so scripted traces stay pinned; on
     /// the wall clock `cache_ns` is the real lookup cost and the
     /// breakdown still tiles exactly.
     fn complete_hit(
         &mut self,
-        id: u64,
         seed_key: u64,
         kind: &'static str,
         output: canti_farm::JobOutput,
         admitted_ns: u64,
-    ) -> u64 {
+    ) {
         self.stats.admitted += 1;
         self.stats.cache_hits += 1;
         self.stats.completed += 1;
@@ -366,7 +311,7 @@ impl Front {
             });
         }
         self.hits.push(ServeResponse {
-            request_id: id,
+            request_id: seed_key,
             trace,
             disposition: Disposition::CacheHit {
                 latency_ns: cache_ns,
@@ -377,7 +322,6 @@ impl Front {
                 result: Ok(output),
             },
         });
-        id
     }
 
     /// The deadline-feasibility fast reject: refuses a request whose
@@ -413,30 +357,11 @@ impl Front {
             return Vec::new();
         }
         let now_ns = self.clock.now_ns();
-        let mut responses = Vec::new();
-        for p in &victims {
-            self.stats.shed += 1;
-            responses.push(self.abandon(
-                p.id,
-                p.key,
-                p.trace,
-                p.enqueued_ns,
-                RejectReason::Shed,
-                now_ns,
-            ));
-            // a shed leader takes its coalesced followers with it
-            for f in &p.followers {
-                self.stats.shed += 1;
-                responses.push(self.abandon(
-                    f.id,
-                    f.key,
-                    f.trace,
-                    f.enqueued_ns,
-                    RejectReason::Shed,
-                    now_ns,
-                ));
-            }
-        }
+        // a shed leader takes its coalesced followers with it
+        let responses = victims
+            .iter()
+            .flat_map(|p| self.abandon_all(p, RejectReason::Shed, now_ns))
+            .collect();
         self.observe_depth();
         responses
     }
@@ -450,7 +375,7 @@ impl Front {
         let now_ns = self.clock.now_ns();
         let responses = victims
             .iter()
-            .flat_map(|p| self.fail_pending_at(p, now_ns))
+            .flat_map(|p| self.abandon_all(p, RejectReason::ShardFailed, now_ns))
             .collect();
         self.observe_depth();
         responses
@@ -461,51 +386,19 @@ impl Front {
     /// execution died underneath them.
     pub(crate) fn fail_pending(&mut self, p: &Pending) -> Vec<ServeResponse> {
         let now_ns = self.clock.now_ns();
-        self.fail_pending_at(p, now_ns)
+        self.abandon_all(p, RejectReason::ShardFailed, now_ns)
     }
 
-    fn fail_pending_at(&mut self, p: &Pending, now_ns: u64) -> Vec<ServeResponse> {
-        let mut out = Vec::with_capacity(1 + p.followers.len());
-        self.stats.failed += 1;
-        out.push(self.abandon(
-            p.id,
-            p.key,
-            p.trace,
-            p.enqueued_ns,
-            RejectReason::ShardFailed,
-            now_ns,
-        ));
-        for f in &p.followers {
-            self.stats.failed += 1;
-            out.push(self.abandon(
-                f.id,
-                f.key,
-                f.trace,
-                f.enqueued_ns,
-                RejectReason::ShardFailed,
-                now_ns,
-            ));
-        }
-        out
-    }
-
-    /// Answers requests whose `Pending`s are gone (consumed by the batch
-    /// that died) from what the ticket table still knows: `(local id,
-    /// key, trace, enqueued_ns)` per request.
-    pub(crate) fn fail_inflight(&mut self, known: &[(u64, u64, u64, u64)]) -> Vec<ServeResponse> {
+    /// Answers requests whose `Pending`s are gone (consumed by a pass
+    /// that died) from what the ticket table still knows: `(key,
+    /// enqueued_ns)` per request.
+    pub(crate) fn fail_inflight(&mut self, known: &[(u64, u64)]) -> Vec<ServeResponse> {
         let now_ns = self.clock.now_ns();
+        let how = Unserved::Abandoned(RejectReason::ShardFailed);
         known
             .iter()
-            .map(|&(id, key, trace, enqueued_ns)| {
-                self.stats.failed += 1;
-                self.abandon(
-                    id,
-                    key,
-                    trace,
-                    enqueued_ns,
-                    RejectReason::ShardFailed,
-                    now_ns,
-                )
+            .map(|&(key, enqueued_ns)| {
+                self.abandon(key, canti_obs::trace_id(key), enqueued_ns, how, now_ns)
             })
             .collect()
     }
@@ -515,43 +408,72 @@ impl Front {
         self.queue.restore();
     }
 
-    /// One abandoned request: span closed, SLO breached, debug record
-    /// written, terminal [`Disposition::Failed`] response built. The
-    /// caller bumps the matching `ServeStats` tally.
+    /// [`Self::abandon`] for a leader and every follower riding on it.
+    fn abandon_all(
+        &mut self,
+        p: &Pending,
+        reason: RejectReason,
+        now_ns: u64,
+    ) -> Vec<ServeResponse> {
+        std::iter::once((p.key, p.trace, p.enqueued_ns))
+            .chain(p.followers.iter().map(|f| (f.key, f.trace, f.enqueued_ns)))
+            .map(|(key, trace, enqueued)| {
+                self.abandon(key, trace, enqueued, Unserved::Abandoned(reason), now_ns)
+            })
+            .collect()
+    }
+
+    /// One request that ends unserved: tally bumped, trace event, span
+    /// closed, SLO breached (however briefly it waited), debug record
+    /// written, terminal [`Disposition::Expired`] or
+    /// [`Disposition::Failed`] response built.
     fn abandon(
         &mut self,
-        id: u64,
         key: u64,
         trace: u64,
         enqueued_ns: u64,
-        reason: RejectReason,
+        how: Unserved,
         now_ns: u64,
     ) -> ServeResponse {
         let waited_ns = now_ns.saturating_sub(enqueued_ns);
+        let (outcome, series) = match how {
+            Unserved::Expired { .. } => {
+                self.stats.expired += 1;
+                ("expired", "serve.expired")
+            }
+            Unserved::Abandoned(RejectReason::Shed) => {
+                self.stats.shed += 1;
+                ("shed", "serve.shed")
+            }
+            Unserved::Abandoned(reason) => {
+                self.stats.failed += 1;
+                (reason.label(), "serve.failed")
+            }
+        };
         if let Some(o) = &self.observer {
-            o.tracer().event(
-                "request_abandoned",
-                &[
-                    ("request", key.into()),
-                    ("trace", trace.into()),
-                    ("reason", reason.label().into()),
-                ],
-            );
+            let fields = [
+                ("request", key.into()),
+                ("trace", trace.into()),
+                ("reason", outcome.into()),
+            ];
+            match how {
+                Unserved::Expired { .. } => o.tracer().event("request_expired", &fields[..2]),
+                Unserved::Abandoned(_) => o.tracer().event("request_abandoned", &fields),
+            }
         }
         if let Some(ins) = &self.instruments {
-            let (counter, series) = if matches!(reason, RejectReason::Shed) {
-                (&ins.shed, "serve.shed")
-            } else {
-                (&ins.failed, "serve.failed")
-            };
-            counter.inc();
+            match how {
+                Unserved::Expired { .. } => &ins.expired,
+                Unserved::Abandoned(RejectReason::Shed) => &ins.shed,
+                Unserved::Abandoned(_) => &ins.failed,
+            }
+            .inc();
             ins.timeline.record_delta(series, 1, now_ns);
-            // an abandoned request always burns error budget
             ins.slo.record_outcome(false, now_ns);
             ins.requests.push(canti_obs::RequestRecord {
                 request: key,
                 trace,
-                outcome: reason.label(),
+                outcome,
                 batch: None,
                 latency_ns: waited_ns,
                 queue_ns: waited_ns,
@@ -561,13 +483,20 @@ impl Front {
                 finished_ns: now_ns,
             });
         }
-        if let Some(span) = self.spans.remove(&id) {
+        if let Some(span) = self.spans.remove(&key) {
             span.end();
         }
+        let disposition = match how {
+            Unserved::Expired { deadline_ns } => Disposition::Expired {
+                waited_ns,
+                deadline_ns,
+            },
+            Unserved::Abandoned(reason) => Disposition::Failed { reason },
+        };
         ServeResponse {
-            request_id: id,
+            request_id: key,
             trace,
-            disposition: Disposition::Failed { reason },
+            disposition,
         }
     }
 
@@ -577,46 +506,12 @@ impl Front {
         let now_ns = self.clock.now_ns();
         let expired = self.queue.take_expired(now_ns);
         let responses: Vec<ServeResponse> = expired
-            .into_iter()
-            .map(|p: Pending| {
-                self.stats.expired += 1;
-                let waited_ns = now_ns.saturating_sub(p.enqueued_ns);
-                if let Some(o) = &self.observer {
-                    o.tracer().event(
-                        "request_expired",
-                        &[("request", p.key.into()), ("trace", p.trace.into())],
-                    );
-                }
-                if let Some(ins) = &self.instruments {
-                    ins.expired.inc();
-                    ins.timeline.record_delta("serve.expired", 1, now_ns);
-                    // an expiry always burns error budget, however
-                    // briefly the request waited
-                    ins.slo.record_outcome(false, now_ns);
-                    ins.requests.push(canti_obs::RequestRecord {
-                        request: p.key,
-                        trace: p.trace,
-                        outcome: "expired",
-                        batch: None,
-                        latency_ns: waited_ns,
-                        queue_ns: waited_ns,
-                        form_ns: 0,
-                        exec_ns: 0,
-                        respond_ns: 0,
-                        finished_ns: now_ns,
-                    });
-                }
-                if let Some(span) = self.spans.remove(&p.id) {
-                    span.end();
-                }
-                ServeResponse {
-                    request_id: p.id,
-                    trace: p.trace,
-                    disposition: Disposition::Expired {
-                        waited_ns,
-                        deadline_ns: p.deadline_ns.unwrap_or(now_ns),
-                    },
-                }
+            .iter()
+            .map(|p| {
+                let how = Unserved::Expired {
+                    deadline_ns: p.deadline_ns.unwrap_or(now_ns),
+                };
+                self.abandon(p.key, p.trace, p.enqueued_ns, how, now_ns)
             })
             .collect();
         if !responses.is_empty() {
@@ -674,7 +569,7 @@ impl Front {
             index: batch.index,
             trigger: batch.trigger,
             seed: batch.seed,
-            request_ids: batch.request_ids(),
+            request_ids: batch.items.iter().map(|p| p.key).collect(),
         });
     }
 
@@ -690,30 +585,64 @@ impl Front {
     }
 }
 
-/// The single-threaded serving engine: submit requests, then [`pump`]
-/// whenever the clock has moved (or a threshold may have been crossed)
-/// to expire, batch and execute them.
-///
-/// This is the deterministic form of the serving layer: given the same
-/// [`ServeConfig`] and the same scripted sequence of submissions and
-/// clock advances, the batch log, every response payload and the final
-/// [`ServeStats`] are bit-identical at any worker count.
-///
-/// [`pump`]: Self::pump
-#[derive(Debug)]
-pub struct ServeEngine {
-    front: Front,
-    executor: BatchExecutor,
-    failed: bool,
-    restarts: u64,
+/// What the supervisor hears about one executed batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Verdict {
+    /// At least one member completed.
+    Clean,
+    /// The executor panicked under the batch: the shard is dead.
+    Died,
 }
 
-impl ServeEngine {
-    /// An engine under `config`, timing everything on `clock`.
-    #[must_use]
-    pub fn new(config: ServeConfig, clock: Arc<dyn ObsClock>) -> Self {
-        // one result cache per shard, shared by front (lookups) and
-        // executor (inserts)
+/// One formed batch after the executor ran it (or died trying).
+struct Executed {
+    index: u64,
+    /// The members, kept so a dead batch can still answer them.
+    members: Vec<Pending>,
+    result: std::thread::Result<Vec<ServeResponse>>,
+}
+
+impl Executed {
+    fn run(executor: &BatchExecutor, batch: FormedBatch) -> Self {
+        let index = batch.index;
+        let members = batch.items.clone();
+        let result = catch_unwind(AssertUnwindSafe(|| executor.execute(batch)));
+        Self {
+            index,
+            members,
+            result,
+        }
+    }
+
+    fn verdict(&self) -> Option<Verdict> {
+        match &self.result {
+            Err(_) => Some(Verdict::Died),
+            Ok(responses) => responses
+                .iter()
+                .any(|r| matches!(r.disposition, Disposition::Completed { .. }))
+                .then_some(Verdict::Clean),
+        }
+    }
+}
+
+/// One shard of the serving layer: its admission [`Front`], its
+/// [`BatchExecutor`] and — in the threaded driver — the tickets of the
+/// requests it still owes an answer. Both drivers run their shards
+/// through this one core; a single-shard engine is just the plain case.
+#[derive(Debug)]
+pub(crate) struct ShardCore {
+    index: usize,
+    front: Front,
+    executor: BatchExecutor,
+    /// Outstanding tickets by request id. Only the threaded driver opens
+    /// tickets; the pumped driver gets every response handed back.
+    tickets: BTreeMap<u64, crate::service::TicketCell>,
+}
+
+impl ShardCore {
+    /// Shard `index` under `config`, timing everything on `clock`, with
+    /// one result cache shared by front (lookups) and executor (inserts).
+    pub(crate) fn new(index: usize, config: ServeConfig, clock: Arc<dyn ObsClock>) -> Self {
         let cache = config
             .cache
             .map(|c| Arc::new(std::sync::Mutex::new(crate::cache::ReportCache::new(c))));
@@ -722,91 +651,572 @@ impl ServeEngine {
             executor = executor.with_report_cache(Arc::clone(c));
         }
         Self {
-            front: Front::new(config, clock, None, None, cache),
+            index,
+            front: Front::new(config, clock, cache),
             executor,
-            failed: false,
-            restarts: 0,
+            tickets: BTreeMap::new(),
         }
-    }
-
-    /// Arms a [`canti_fault::ServeFaultPlan`]: this engine consumes the
-    /// plan's slice for `shard`. An empty slice installs nothing at all,
-    /// so a default plan is provably identical to no plan.
-    #[must_use]
-    pub fn with_chaos_plan(mut self, plan: &canti_fault::ServeFaultPlan, shard: usize) -> Self {
-        let chaos = canti_fault::ServeChaos::new(plan, shard);
-        if !chaos.is_empty() {
-            self.executor = self
-                .executor
-                .with_chaos(Arc::new(std::sync::Mutex::new(chaos)));
-        }
-        self
     }
 
     /// Attaches a farm observer: serve counters/histograms, request and
     /// batch spans, SLO windows, the request log and the farm's own
-    /// telemetry all record into it. For coherent timestamps construct
-    /// the observer over the same clock the engine was given.
-    #[must_use]
-    pub fn with_observer(mut self, observer: FarmObserver) -> Self {
-        let config = *self.front.queue.config();
+    /// telemetry all record into it. Front and executor share ONE
+    /// instrument set, so SLO windows and the request log see both
+    /// halves of every request.
+    pub(crate) fn observe(&mut self, observer: FarmObserver) {
+        let config = self.front.queue.config();
         let instruments =
             crate::exec::ServeInstruments::new(&observer, config.slo, config.timeline);
-        self.front = Front::new(
-            config,
-            Arc::clone(&self.front.clock),
-            Some(observer.clone()),
-            Some(instruments.clone()),
-            self.front.cache.clone(), // keep the executor's cache handle
-        );
-        self.executor = self.executor.with_instruments(observer, instruments);
-        self
+        self.front.observer = Some(observer.clone());
+        self.front.instruments = Some(instruments.clone());
+        self.executor = self
+            .executor
+            .clone()
+            .with_instruments(observer, instruments);
     }
 
-    /// Whether the engine's shard has died (executor panic) and awaits
-    /// [`Self::resurrect`]. Submissions meanwhile are rejected with
-    /// [`RejectReason::ShardFailed`]; pumps are no-ops.
-    #[must_use]
-    pub fn is_failed(&self) -> bool {
-        self.failed
-    }
-
-    /// Times the engine was resurrected after a shard failure.
-    #[must_use]
-    pub fn restarts(&self) -> u64 {
-        self.restarts
-    }
-
-    /// Rebuilds the dead shard: a fresh executor over a **fresh** worker
-    /// pool (same clock, cache, observer, instruments and chaos state),
-    /// admission re-opened. Returns `false` when the engine is healthy.
-    pub fn resurrect(&mut self) -> bool {
-        if !self.failed {
-            return false;
+    /// Arms this shard's slice of a serve fault plan. An empty slice
+    /// installs nothing at all, so a default plan is provably identical
+    /// to no plan.
+    pub(crate) fn arm(&mut self, plan: &canti_fault::ServeFaultPlan) {
+        let chaos = canti_fault::ServeChaos::new(plan, self.index);
+        if !chaos.is_empty() {
+            self.executor = self
+                .executor
+                .clone()
+                .with_chaos(Arc::new(std::sync::Mutex::new(chaos)));
         }
+    }
+
+    /// Admits one request under its global id. `from` names the primary
+    /// shard when the router failed this request over to us: the
+    /// `failover{request, from, to}` event and counter land here.
+    pub(crate) fn admit(
+        &mut self,
+        job: JobSpec,
+        deadline_ns: Option<u64>,
+        priority: u8,
+        request: u64,
+        from: Option<usize>,
+    ) -> Result<(), RejectReason> {
+        self.front.admit(job, deadline_ns, request, priority)?;
+        if let Some(from) = from {
+            if let Some(ins) = &self.front.instruments {
+                ins.failovers.inc();
+            }
+            if let Some(o) = self.executor.observer() {
+                o.tracer().event(
+                    "failover",
+                    &[
+                        ("request", request.into()),
+                        ("from", from.into()),
+                        ("to", self.index.into()),
+                    ],
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// Opens a ticket for admitted request `request` and answers it at
+    /// once when the admission was a cache hit.
+    pub(crate) fn open_ticket(&mut self, request: u64) -> Arc<crate::service::Slot> {
+        let (cell, slot) = crate::service::TicketCell::open(self.front.clock.now_ns());
+        self.tickets.insert(request, cell);
+        let hits = std::mem::take(&mut self.front.hits);
+        let unclaimed = self.deliver(hits);
+        debug_assert!(
+            unclaimed.is_empty(),
+            "every threaded request holds a ticket"
+        );
+        slot
+    }
+
+    /// Fulfils the ticket of every response that has one and hands back
+    /// the rest (all of them, in the pumped driver).
+    fn deliver(&mut self, responses: Vec<ServeResponse>) -> Vec<ServeResponse> {
+        if self.tickets.is_empty() {
+            return responses;
+        }
+        responses
+            .into_iter()
+            .filter_map(|r| match self.tickets.remove(&r.request_id) {
+                Some(cell) => {
+                    cell.fulfil(r);
+                    None
+                }
+                None => Some(r),
+            })
+            .collect()
+    }
+
+    /// The lock-scoped opening of a pass: buffered cache hits and
+    /// expiries, then shedding and every ready batch — or, when
+    /// draining, admission stopped and the whole queue released. A dead
+    /// shard answered everything when it died, so it opens nothing.
+    fn open(&mut self, drain: bool) -> (Vec<ServeResponse>, Vec<FormedBatch>) {
+        if self.front.queue.is_failed() {
+            if drain {
+                self.front.queue.begin_drain();
+            }
+            return (Vec::new(), Vec::new());
+        }
+        let mut ready = std::mem::take(&mut self.front.hits);
+        ready.extend(self.front.take_expired());
+        if drain {
+            return (ready, self.front.begin_drain());
+        }
+        ready.extend(self.front.take_shed());
+        (ready, self.front.form_ready())
+    }
+
+    /// Lands one executed batch — the one executor-panic path. A clean
+    /// batch closes its spans and tallies. A panic (a chaos kill or a
+    /// real bug) marks the shard failed and answers the dead batch, the
+    /// batches formed behind it and everything still queued with
+    /// [`RejectReason::ShardFailed`]: no admitted request is ever left
+    /// hanging.
+    fn land(
+        &mut self,
+        executed: Executed,
+        stranded: &mut dyn Iterator<Item = FormedBatch>,
+    ) -> Vec<ServeResponse> {
+        match executed.result {
+            Ok(responses) => {
+                self.front.finish(&responses);
+                responses
+            }
+            Err(_) => {
+                if let Some(o) = self.executor.observer() {
+                    o.tracer()
+                        .event("shard_down", &[("batch", executed.index.into())]);
+                }
+                let mut out: Vec<ServeResponse> = executed
+                    .members
+                    .iter()
+                    .flat_map(|p| self.front.fail_pending(p))
+                    .collect();
+                for batch in stranded {
+                    for p in &batch.items {
+                        out.extend(self.front.fail_pending(p));
+                    }
+                }
+                out.extend(self.front.fail_queued());
+                self.front.stats.batches = self.front.queue.batches_formed();
+                out
+            }
+        }
+    }
+
+    /// Answers every outstanding request [`RejectReason::ShardFailed`]
+    /// and marks the shard failed: the threaded batcher's safety net for
+    /// a panic outside batch execution.
+    pub(crate) fn fail_outstanding(&mut self) {
+        let queued = self.front.fail_queued();
+        let _ = self.deliver(queued);
+        let known: Vec<(u64, u64)> = self
+            .tickets
+            .iter()
+            .map(|(&request, cell)| (request, cell.enqueued_ns()))
+            .collect();
+        let inflight = self.front.fail_inflight(&known);
+        let _ = self.deliver(inflight);
+    }
+
+    /// The one revive: a fresh executor over a **fresh** worker pool
+    /// (same clock, caches, observer, instruments and chaos state) and
+    /// admission reopened. `restarts` is the supervisor's count,
+    /// restart included.
+    fn revive(&mut self, restarts: u64) {
         self.executor = self.executor.resurrected();
         self.front.mark_recovered();
-        self.failed = false;
-        self.restarts += 1;
         if let Some(ins) = self.executor.instruments() {
             ins.shard_restarts.inc();
         }
         if let Some(o) = self.executor.observer() {
             o.tracer()
-                .event("shard_recovered", &[("restarts", self.restarts.into())]);
+                .event("shard_recovered", &[("restarts", restarts.into())]);
         }
+    }
+
+    pub(crate) fn stats(&self) -> ServeStats {
+        self.front.stats
+    }
+
+    pub(crate) fn depth(&self) -> usize {
+        self.front.queue.depth()
+    }
+
+    pub(crate) fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
+        let cache = self.front.cache.as_ref()?;
+        Some(cache.lock().unwrap_or_else(PoisonError::into_inner).stats())
+    }
+
+    pub(crate) fn observer(&self) -> Option<FarmObserver> {
+        self.executor.observer().cloned()
+    }
+
+    pub(crate) fn slo(&self) -> Option<Arc<canti_obs::SloTracker>> {
+        Some(Arc::clone(&self.front.instruments.as_ref()?.slo))
+    }
+
+    pub(crate) fn request_log(&self) -> Option<Arc<canti_obs::RequestLog>> {
+        Some(Arc::clone(&self.front.instruments.as_ref()?.requests))
+    }
+
+    pub(crate) fn timeline(&self) -> Option<Arc<canti_obs::TimelineRecorder>> {
+        Some(Arc::clone(&self.front.instruments.as_ref()?.timeline))
+    }
+
+    pub(crate) fn pool_threads(&self) -> usize {
+        self.executor.pool_threads()
+    }
+}
+
+/// How a driver reaches one shard while [`pass`] runs.
+pub(crate) trait Host {
+    /// Runs `f` on the shard's core (under the shard's lock, in the
+    /// threaded driver).
+    fn core<R>(&mut self, f: impl FnOnce(&mut ShardCore) -> R) -> R;
+    /// Tells the supervisor about a batch. Never called while the core
+    /// is held.
+    fn report(&mut self, verdict: Verdict);
+}
+
+/// One pass over a shard — the loop both drivers run. The core opens it
+/// (hits, expiries, shedding, formation — or the drain flush); each
+/// formed batch then executes with the core released, its verdict goes
+/// to the supervisor — at most one `Clean` per pass, and `Died` — and
+/// only then does it land, so health changes before any of its tickets
+/// is answered. Returns the responses no ticket claimed, in order, and
+/// whether the pass did anything.
+pub(crate) fn pass(host: &mut impl Host, drain: bool) -> (Vec<ServeResponse>, bool) {
+    let (mut out, batches, executor, worked) = host.core(|c| {
+        let (ready, batches) = c.open(drain);
+        let worked = !ready.is_empty() || !batches.is_empty();
+        let executor = (!batches.is_empty()).then(|| c.executor.clone());
+        (c.deliver(ready), batches, executor, worked)
+    });
+    let Some(executor) = executor else {
+        return (out, worked);
+    };
+    let mut reported_clean = false;
+    let mut batches = batches.into_iter();
+    while let Some(batch) = batches.next() {
+        let executed = Executed::run(&executor, batch);
+        let verdict = executed.verdict();
+        match verdict {
+            Some(Verdict::Clean) if !reported_clean => {
+                reported_clean = true;
+                host.report(Verdict::Clean);
+            }
+            Some(Verdict::Died) => host.report(Verdict::Died),
+            _ => {}
+        }
+        out.extend(host.core(|c| {
+            let landed = c.land(executed, &mut batches);
+            c.deliver(landed)
+        }));
+        if verdict == Some(Verdict::Died) {
+            break;
+        }
+    }
+    (out, worked)
+}
+
+/// Global request ids, placement with failover, and supervision: the
+/// one router both drivers put in front of their shards.
+#[derive(Debug)]
+pub(crate) struct Router {
+    next_id: u64,
+    /// Requests rerouted off a `Down` primary so far.
+    pub(crate) failovers: u64,
+    pub(crate) supervisor: ShardSupervisor,
+}
+
+impl Router {
+    pub(crate) fn new(shards: usize, config: SupervisorConfig) -> Self {
+        Self {
+            next_id: 0,
+            failovers: 0,
+            supervisor: ShardSupervisor::new(config, shards),
+        }
+    }
+
+    /// Places the next request: its primary shard ([`route_request`])
+    /// while live, else the [`route_failover`] target. `admit(shard, id,
+    /// from)` tries one shard — `from` is the primary when this is a
+    /// failover — and a [`RejectReason::ShardFailed`] answer rules that
+    /// shard out and retries. Returns `(id, shard, admit's value)`. A
+    /// rejected request burns no id, so the id stream — and every later
+    /// request's routing and seed — is independent of rejections.
+    pub(crate) fn place<T>(
+        &mut self,
+        mut admit: impl FnMut(usize, u64, Option<usize>) -> Result<T, RejectReason>,
+    ) -> Result<(u64, usize, T), RejectReason> {
+        let id = self.next_id;
+        let mut live = self.supervisor.live_mask();
+        let primary = route_request(id, live.len());
+        loop {
+            let shard = route_failover(id, &live).ok_or(RejectReason::ShardFailed)?;
+            let from = (shard != primary).then_some(primary);
+            match admit(shard, id, from) {
+                Ok(value) => {
+                    if from.is_some() {
+                        self.failovers += 1;
+                    }
+                    self.next_id += 1;
+                    return Ok((id, shard, value));
+                }
+                Err(RejectReason::ShardFailed) => live[shard] = false,
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Feeds one batch verdict on `shard` to the supervisor.
+    pub(crate) fn report(&mut self, shard: usize, verdict: Verdict, now_ns: u64) {
+        match verdict {
+            Verdict::Clean => self.supervisor.record_clean_batch(shard),
+            Verdict::Died => {
+                let _ = self.supervisor.record_failure(shard, now_ns);
+            }
+        }
+    }
+
+    /// Revives `core` when its shard is `Down` and its backoff has
+    /// elapsed at `now_ns`. Returns whether it did.
+    pub(crate) fn revive_due(&mut self, core: &mut ShardCore, now_ns: u64) -> bool {
+        let shard = core.index;
+        if !self.supervisor.restart_due(shard, now_ns) {
+            return false;
+        }
+        self.supervisor.record_restart(shard);
+        core.revive(self.supervisor.restarts(shard));
         true
     }
 
+    /// The earliest scheduled restart over all `Down` shards.
+    pub(crate) fn next_restart_ns(&self) -> Option<u64> {
+        let shards = self.supervisor.healths().len();
+        (0..shards)
+            .filter_map(|s| self.supervisor.next_restart_ns(s))
+            .min()
+    }
+}
+
+/// The per-shard views both drivers expose, written once. The driver
+/// provides `each(f)` — `f` over every shard's core, in shard order —
+/// and `router()`.
+macro_rules! shard_views {
+    () => {
+        /// Requests currently queued, across shards.
+        #[must_use]
+        pub fn queue_depth(&self) -> usize {
+            self.each(ShardCore::depth).into_iter().sum()
+        }
+
+        /// Per-shard tallies, in shard order.
+        #[must_use]
+        pub fn shard_stats(&self) -> Vec<ServeStats> {
+            self.each(ShardCore::stats)
+        }
+
+        /// The tallies, summed across shards.
+        #[must_use]
+        pub fn stats(&self) -> ServeStats {
+            sum_stats(self.shard_stats().into_iter())
+        }
+
+        /// The result caches' counters, summed across shards (`None`
+        /// when the config has caching off).
+        #[must_use]
+        pub fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
+            sum_cache_stats(self.each(ShardCore::cache_stats).into_iter())
+        }
+
+        /// Per-shard health, in shard order, as the supervisor sees it.
+        #[must_use]
+        pub fn healths(&self) -> Vec<ShardHealth> {
+            self.router().supervisor.healths()
+        }
+
+        /// Requests rerouted off a `Down` primary so far.
+        #[must_use]
+        pub fn failovers(&self) -> u64 {
+            self.router().failovers
+        }
+
+        /// Shard restarts performed so far, across all shards.
+        #[must_use]
+        pub fn restarts(&self) -> u64 {
+            self.router().supervisor.total_restarts()
+        }
+
+        /// Per-shard observers, in shard order (empty entries for
+        /// unobserved shards).
+        #[must_use]
+        pub fn observers(&self) -> Vec<Option<FarmObserver>> {
+            self.each(ShardCore::observer)
+        }
+
+        /// Per-shard SLO trackers, in shard order (empty entries for
+        /// unobserved shards).
+        #[must_use]
+        pub fn slos(&self) -> Vec<Option<Arc<canti_obs::SloTracker>>> {
+            self.each(ShardCore::slo)
+        }
+
+        /// Per-shard request logs behind `/debug/requests`, in shard
+        /// order (empty entries for unobserved shards).
+        #[must_use]
+        pub fn request_logs(&self) -> Vec<Option<Arc<canti_obs::RequestLog>>> {
+            self.each(ShardCore::request_log)
+        }
+
+        /// Per-shard timeline recorders behind `/debug/timeline`, in
+        /// shard order (empty entries for unobserved shards).
+        #[must_use]
+        pub fn timelines(&self) -> Vec<Option<Arc<canti_obs::TimelineRecorder>>> {
+            self.each(ShardCore::timeline)
+        }
+
+        /// Per-shard pool widths (the worker threads each shard's
+        /// executor actually runs), in shard order.
+        #[must_use]
+        pub fn pool_threads(&self) -> Vec<usize> {
+            self.each(ShardCore::pool_threads)
+        }
+    };
+}
+pub(crate) use shard_views;
+
+/// The pumped serving engine: submit requests, then [`pump`] whenever
+/// the clock has moved (or a threshold may have been crossed) to expire,
+/// batch and execute them. [`Self::new`] builds one shard;
+/// [`Self::sharded`] builds N behind [`route_request`], supervised by a
+/// [`ShardSupervisor`] and failing over by [`route_failover`].
+///
+/// This is the deterministic form of the serving layer: given the same
+/// config and the same scripted sequence of submissions and clock
+/// advances, the batch logs, every response payload and the final
+/// [`ServeStats`] are bit-identical at any worker count.
+///
+/// [`pump`]: Self::pump
+#[derive(Debug)]
+pub struct ServeEngine {
+    shards: Vec<ShardCore>,
+    router: Router,
+    clock: Arc<dyn ObsClock>,
+}
+
+/// The pumped driver's [`Host`]: direct access, supervision at the
+/// pump's clock reading.
+struct Pumped<'a> {
+    core: &'a mut ShardCore,
+    router: &'a mut Router,
+    now_ns: u64,
+}
+
+impl Host for Pumped<'_> {
+    fn core<R>(&mut self, f: impl FnOnce(&mut ShardCore) -> R) -> R {
+        f(self.core)
+    }
+
+    fn report(&mut self, verdict: Verdict) {
+        self.router.report(self.core.index, verdict, self.now_ns);
+    }
+}
+
+impl ServeEngine {
+    /// A single-shard engine under `config`, timing everything on
+    /// `clock`.
+    #[must_use]
+    pub fn new(config: ServeConfig, clock: Arc<dyn ObsClock>) -> Self {
+        Self::sharded(
+            ShardedConfig {
+                shards: 1,
+                base: config,
+            },
+            clock,
+        )
+    }
+
+    /// An engine of `config.shards` shards, timing every shard on
+    /// `clock`, supervised under [`SupervisorConfig::default`].
+    #[must_use]
+    pub fn sharded(config: ShardedConfig, clock: Arc<dyn ObsClock>) -> Self {
+        let n = config.shard_count();
+        Self {
+            shards: (0..n)
+                .map(|i| ShardCore::new(i, config.base, Arc::clone(&clock)))
+                .collect(),
+            router: Router::new(n, SupervisorConfig::default()),
+            clock,
+        }
+    }
+
+    /// Attaches a farm observer to a single-shard engine — see
+    /// [`Self::with_observers`]. For coherent timestamps construct the
+    /// observer over the same clock the engine was given.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the engine has exactly one shard.
+    #[must_use]
+    pub fn with_observer(self, observer: FarmObserver) -> Self {
+        self.with_observers(vec![observer])
+    }
+
+    /// Attaches one observer per shard (so each shard records into its
+    /// own registry, which the merged `/metrics` view labels by shard).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `observers.len()` equals the shard count.
+    #[must_use]
+    pub fn with_observers(mut self, observers: Vec<FarmObserver>) -> Self {
+        assert_eq!(observers.len(), self.shards.len(), "one observer per shard");
+        for (core, observer) in self.shards.iter_mut().zip(observers) {
+            core.observe(observer);
+        }
+        self
+    }
+
+    /// Replaces the supervision policy (backoff, probation).
+    #[must_use]
+    pub fn with_supervisor(mut self, config: SupervisorConfig) -> Self {
+        self.router = Router::new(self.shards.len(), config);
+        self
+    }
+
+    /// Arms a [`canti_fault::ServeFaultPlan`]: each shard consumes its
+    /// slice of the plan. Shards with no scheduled events install
+    /// nothing, so an empty plan is provably identical to no plan.
+    #[must_use]
+    pub fn with_chaos_plan(mut self, plan: &canti_fault::ServeFaultPlan) -> Self {
+        for core in &mut self.shards {
+            core.arm(plan);
+        }
+        self
+    }
+
+    /// The shard count.
+    #[must_use]
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
     /// Submits a request without an explicit deadline (the config
-    /// default, if any, applies).
+    /// default, if any, applies), returning its global id.
     ///
     /// # Errors
     ///
-    /// Rejected with a [`RejectReason`] when the queue is full or the
-    /// engine is draining.
+    /// Rejected with the target shard's [`RejectReason`] (queue full,
+    /// draining), or [`RejectReason::ShardFailed`] when no live shard
+    /// remains. A rejection burns no id.
     pub fn submit(&mut self, job: JobSpec) -> Result<u64, RejectReason> {
-        self.front.admit(job, None)
+        self.submit_prioritized(job, None, 0)
     }
 
     /// Submits a request that expires `deadline_ns` after admission if
@@ -814,14 +1224,13 @@ impl ServeEngine {
     ///
     /// # Errors
     ///
-    /// Rejected with a [`RejectReason`] when the queue is full or the
-    /// engine is draining.
+    /// As [`Self::submit`].
     pub fn submit_with_deadline(
         &mut self,
         job: JobSpec,
         deadline_ns: u64,
     ) -> Result<u64, RejectReason> {
-        self.front.admit(job, Some(deadline_ns))
+        self.submit_prioritized(job, Some(deadline_ns), 0)
     }
 
     /// Submits a request with an explicit brownout priority class:
@@ -830,178 +1239,95 @@ impl ServeEngine {
     ///
     /// # Errors
     ///
-    /// Rejected with a [`RejectReason`] when the queue is full, the
-    /// engine is draining, or the shard has failed.
+    /// As [`Self::submit`].
     pub fn submit_prioritized(
         &mut self,
         job: JobSpec,
         deadline_ns: Option<u64>,
         priority: u8,
     ) -> Result<u64, RejectReason> {
-        self.front
-            .admit_prioritized(job, deadline_ns, None, priority)
+        let shards = &mut self.shards;
+        self.router
+            .place(|shard, id, from| {
+                shards[shard].admit(job.clone(), deadline_ns, priority, id, from)
+            })
+            .map(|(id, _, ())| id)
     }
 
-    /// Submission with an explicit seed key: the sharded front passes
-    /// the global request id so payloads are shard-count-invariant.
-    pub(crate) fn submit_keyed(
-        &mut self,
-        job: JobSpec,
-        deadline_ns: Option<u64>,
-        key: u64,
-    ) -> Result<u64, RejectReason> {
-        self.front.admit_keyed(job, deadline_ns, Some(key))
-    }
-
-    /// The shared instrument set, when observed (for the sharded front's
-    /// failover counters).
-    pub(crate) fn instruments(&self) -> Option<&crate::exec::ServeInstruments> {
-        self.front.instruments()
-    }
-
-    /// Advances the serving state machine at the current clock reading:
-    /// expires overdue requests, sheds over the brownout mark, then
-    /// forms and executes every ready batch. Returns all responses
-    /// produced — expirations, then shed evictions, then batch
-    /// completions in admission order. A failed engine pumps to nothing
-    /// until resurrected (its queue was already answered terminally).
+    /// Advances every shard, in shard order, at the current clock
+    /// reading: a `Down` shard whose backoff has elapsed is revived
+    /// first, then each shard expires overdue requests, sheds over the
+    /// brownout mark, and forms and executes every ready batch. Returns
+    /// all responses — per shard: cache hits, expirations, shed
+    /// evictions, then batch completions in admission order. A dead
+    /// shard pumps to nothing until revived (its queue was already
+    /// answered terminally).
     pub fn pump(&mut self) -> Vec<ServeResponse> {
-        if self.failed {
-            return Vec::new();
-        }
-        // cache hits buffered since the last pump flush first: they were
-        // admitted (and answered) before anything that follows
-        let mut out = self.front.take_hits();
-        out.extend(self.front.take_expired());
-        out.extend(self.front.take_shed());
-        let batches = self.front.form_ready();
-        out.extend(self.run_batches(batches));
-        self.front.finish_noop();
-        out
+        self.pass(false)
     }
 
-    /// Stops admission and flushes everything still queued as final
-    /// batches (expiring overdue requests first). After draining, every
-    /// submission is rejected with [`RejectReason::Draining`].
+    /// Stops admission on every shard and flushes everything still
+    /// queued as final batches (expiring overdue requests first). After
+    /// draining, every submission is rejected with
+    /// [`RejectReason::Draining`].
     pub fn drain(&mut self) -> Vec<ServeResponse> {
-        if self.failed {
-            self.front.queue.begin_drain();
-            return Vec::new();
-        }
-        let mut out = self.front.take_hits();
-        out.extend(self.front.take_expired());
-        let batches = self.front.begin_drain();
-        out.extend(self.run_batches(batches));
-        out
+        self.pass(true)
     }
 
-    /// Executes formed batches, converting an executor panic (a chaos
-    /// kill or a real bug) into terminal answers for **every**
-    /// outstanding request — the batch that died, the batches formed
-    /// behind it, and everything still queued. No admitted request is
-    /// ever left hanging.
-    fn run_batches(&mut self, batches: Vec<FormedBatch>) -> Vec<ServeResponse> {
+    fn pass(&mut self, drain: bool) -> Vec<ServeResponse> {
+        let now_ns = self.clock.now_ns();
         let mut out = Vec::new();
-        let mut batches = batches.into_iter();
-        while let Some(batch) = batches.next() {
-            let members = batch.items.clone();
-            let index = batch.index;
-            match catch_unwind(AssertUnwindSafe(|| self.executor.execute(batch))) {
-                Ok(responses) => {
-                    self.front.finish(&responses);
-                    out.extend(responses);
-                }
-                Err(_) => {
-                    self.failed = true;
-                    if let Some(o) = self.executor.observer() {
-                        o.tracer().event("shard_down", &[("batch", index.into())]);
-                    }
-                    for p in &members {
-                        out.extend(self.front.fail_pending(p));
-                    }
-                    for stranded in batches.by_ref() {
-                        for p in &stranded.items {
-                            out.extend(self.front.fail_pending(p));
-                        }
-                    }
-                    out.extend(self.front.fail_queued());
-                    break;
-                }
+        for core in &mut self.shards {
+            if !drain {
+                self.router.revive_due(core, now_ns);
             }
+            let mut host = Pumped {
+                core,
+                router: &mut self.router,
+                now_ns,
+            };
+            out.extend(pass(&mut host, drain).0);
         }
         out
-    }
-
-    /// Requests currently queued.
-    #[must_use]
-    pub fn queue_depth(&self) -> usize {
-        self.front.depth()
     }
 
     /// Whether the engine has drained and admits nothing new.
     #[must_use]
     pub fn is_draining(&self) -> bool {
-        self.front.is_draining()
+        self.shards.iter().all(|c| c.front.queue.is_draining())
     }
 
     /// The earliest future instant at which queued state can change on
-    /// its own (linger or deadline); `None` while the queue is empty.
+    /// its own (linger or deadline) on any shard; `None` while every
+    /// queue is empty.
     #[must_use]
     pub fn next_wakeup_ns(&self) -> Option<u64> {
-        self.front.next_wakeup_ns()
+        self.shards
+            .iter()
+            .filter_map(|c| c.front.queue.next_wakeup_ns())
+            .min()
     }
 
-    /// The running tallies.
+    /// Every batch shard `shard` formed so far, in formation order, with
+    /// member global ids.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `shard` is out of range.
     #[must_use]
-    pub fn stats(&self) -> ServeStats {
-        self.front.stats()
+    pub fn batch_log(&self, shard: usize) -> Vec<BatchRecord> {
+        self.shards[shard].front.batch_log.clone()
     }
 
-    /// The result cache's counters, when [`ServeConfig::cache`] is set.
-    #[must_use]
-    pub fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
-        self.front.cache_stats()
+    fn each<R>(&self, f: impl Fn(&ShardCore) -> R) -> Vec<R> {
+        self.shards.iter().map(f).collect()
     }
 
-    /// Every batch formed so far, in formation order.
-    #[must_use]
-    pub fn batch_log(&self) -> &[BatchRecord] {
-        self.front.batch_log()
+    fn router(&self) -> &Router {
+        &self.router
     }
 
-    /// The executor's observer, if one was attached.
-    #[must_use]
-    pub fn observer(&self) -> Option<&FarmObserver> {
-        self.executor.observer()
-    }
-
-    /// The SLO tracker scoring this engine's requests (present once an
-    /// observer is attached).
-    #[must_use]
-    pub fn slo(&self) -> Option<Arc<canti_obs::SloTracker>> {
-        self.front.instruments().map(|i| Arc::clone(&i.slo))
-    }
-
-    /// The bounded finished-request log behind `/debug/requests`
-    /// (present once an observer is attached).
-    #[must_use]
-    pub fn request_log(&self) -> Option<Arc<canti_obs::RequestLog>> {
-        self.front.instruments().map(|i| Arc::clone(&i.requests))
-    }
-
-    /// The per-window timeline recorder behind `/debug/timeline`
-    /// (present once an observer is attached).
-    #[must_use]
-    pub fn timeline(&self) -> Option<Arc<canti_obs::TimelineRecorder>> {
-        self.front.instruments().map(|i| Arc::clone(&i.timeline))
-    }
-}
-
-impl Front {
-    /// Keeps `stats.batches` in step even on pumps that formed nothing.
-    fn finish_noop(&mut self) {
-        self.stats.batches = self.queue.batches_formed();
-    }
+    shard_views!();
 }
 
 #[cfg(test)]
@@ -1035,9 +1361,9 @@ mod tests {
         let responses = e.pump();
         assert_eq!(responses.len(), 2, "one full batch fires, one queued");
         assert_eq!(e.queue_depth(), 1);
-        assert_eq!(e.batch_log().len(), 1);
-        assert_eq!(e.batch_log()[0].trigger, BatchTrigger::Size);
-        assert_eq!(e.batch_log()[0].request_ids, vec![0, 1]);
+        assert_eq!(e.batch_log(0).len(), 1);
+        assert_eq!(e.batch_log(0)[0].trigger, BatchTrigger::Size);
+        assert_eq!(e.batch_log(0)[0].request_ids, vec![0, 1]);
         assert_eq!(e.stats().completed, 2);
     }
 
@@ -1060,7 +1386,7 @@ mod tests {
         clock.advance_ns(1);
         let responses = e.pump();
         assert_eq!(responses.len(), 1);
-        assert_eq!(e.batch_log()[0].trigger, BatchTrigger::Linger);
+        assert_eq!(e.batch_log(0)[0].trigger, BatchTrigger::Linger);
         match &responses[0].disposition {
             Disposition::Completed { latency_ns, .. } => assert_eq!(*latency_ns, 1_000),
             other => panic!("unexpected {other:?}"),
@@ -1093,7 +1419,7 @@ mod tests {
             "expiry wins over batching"
         );
         assert!(responses[1].disposition.is_ok());
-        assert_eq!(e.batch_log()[0].request_ids, vec![1]);
+        assert_eq!(e.batch_log(0)[0].request_ids, vec![1]);
         assert_eq!(e.stats().expired, 1);
     }
 
@@ -1115,7 +1441,7 @@ mod tests {
         assert!(e.pump().is_empty(), "below threshold, linger unreachable");
         let responses = e.drain();
         assert_eq!(responses.len(), 3);
-        assert_eq!(e.batch_log()[0].trigger, BatchTrigger::Drain);
+        assert_eq!(e.batch_log(0)[0].trigger, BatchTrigger::Drain);
         assert!(e.is_draining());
         assert_eq!(e.submit(probe(9.0)), Err(RejectReason::Draining));
         let stats = e.stats();
@@ -1170,7 +1496,8 @@ mod tests {
         e.submit(probe(2.0)).unwrap();
         let responses = e.pump();
         assert_eq!(responses.len(), 2);
-        let m = e.observer().expect("observer").metrics();
+        let observer = e.observers()[0].clone().expect("observer");
+        let m = observer.metrics();
         assert_eq!(m.counter("serve.admitted").get(), 2);
         assert_eq!(m.counter("serve.completed").get(), 2);
         assert_eq!(m.gauge("serve.queue_depth").get(), 0);

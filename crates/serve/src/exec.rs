@@ -119,8 +119,9 @@ impl ServeInstruments {
 /// Construction fixes the worker count, the shared precompute cache and
 /// the (optional) observer; execution is then a pure mapping from a
 /// formed batch to per-request responses, bit-identical at any worker
-/// count because the farm itself is.
-#[derive(Debug)]
+/// count because the farm itself is. Clones share the pool, the caches,
+/// the observer and the chaos state.
+#[derive(Debug, Clone)]
 pub struct BatchExecutor {
     threads: usize,
     pool: Arc<WorkerPool>,
@@ -181,14 +182,8 @@ impl BatchExecutor {
     /// up against the cache exactly as a real redeploy would.
     pub(crate) fn resurrected(&self) -> Self {
         Self {
-            threads: self.threads,
             pool: Arc::new(WorkerPool::new(self.threads)),
-            cache: Arc::clone(&self.cache),
-            report_cache: self.report_cache.clone(),
-            clock: Arc::clone(&self.clock),
-            observer: self.observer.clone(),
-            instruments: self.instruments.clone(),
-            chaos: self.chaos.clone(),
+            ..self.clone()
         }
     }
 
@@ -356,96 +351,65 @@ impl BatchExecutor {
                     .unwrap_or_else(std::sync::PoisonError::into_inner)
                     .insert(key, out.clone());
             }
-            // the phases tile admission→answer exactly: each anchor
-            // subtraction reuses the previous anchor, so on a monotone
-            // clock cache+queue+form+exec+respond == latency. Followers
-            // measure queue_ns against their own (later) arrival, so
-            // their breakdowns tile too.
-            let record = |enqueued_ns: u64| {
-                let breakdown = LatencyBreakdown {
+            // fan the leader's answer out to every coalesced follower —
+            // each ticket answered exactly once, with the same payload
+            // bits
+            let leader = (pending.key, pending.trace, pending.enqueued_ns, "ok");
+            let followers = pending
+                .followers
+                .iter()
+                .map(|f| (f.key, f.trace, f.enqueued_ns, "coalesced"));
+            for (key, trace, enqueued_ns, ok) in std::iter::once(leader).chain(followers) {
+                // the phases tile admission→answer exactly: each anchor
+                // subtraction reuses the previous anchor, so on a
+                // monotone clock cache+queue+form+exec+respond ==
+                // latency. Followers measure queue_ns against their own
+                // (later) arrival, so their breakdowns tile too.
+                let b = LatencyBreakdown {
                     cache_ns: 0,
                     queue_ns: formed_ns.saturating_sub(enqueued_ns),
                     form_ns: exec_start_ns.saturating_sub(formed_ns),
                     exec_ns: exec_end_ns.saturating_sub(exec_start_ns),
                     respond_ns: now_ns.saturating_sub(exec_end_ns),
                 };
-                let latency_ns = now_ns.saturating_sub(enqueued_ns);
-                (breakdown, latency_ns)
-            };
-            let instrument =
-                |key: u64, trace: u64, outcome: &'static str, b: &LatencyBreakdown, lat: u64| {
-                    if let Some(ins) = &self.instruments {
-                        ins.request_latency_ns.record(lat);
-                        ins.slo.record(lat, now_ns);
-                        // request-scoped deltas: every contribution
-                        // counted exactly once, so the merged per-window
-                        // series are invariant under re-sharding
-                        ins.timeline.record_delta("serve.completed", 1, now_ns);
-                        ins.timeline
-                            .record_delta("serve.request_latency_ns", lat, now_ns);
-                        ins.timeline
-                            .record_delta("serve.queue_ns", b.queue_ns, now_ns);
-                        ins.timeline
-                            .record_delta("serve.form_ns", b.form_ns, now_ns);
-                        ins.timeline
-                            .record_delta("serve.exec_ns", b.exec_ns, now_ns);
-                        ins.timeline
-                            .record_delta("serve.respond_ns", b.respond_ns, now_ns);
-                        ins.requests.push(RequestRecord {
-                            request: key,
-                            trace,
-                            outcome,
-                            batch: Some(index),
-                            latency_ns: lat,
-                            queue_ns: b.queue_ns,
-                            form_ns: b.form_ns,
-                            exec_ns: b.exec_ns,
-                            respond_ns: b.respond_ns,
-                            finished_ns: now_ns,
-                        });
-                    }
-                };
-            let (breakdown, latency_ns) = record(pending.enqueued_ns);
-            instrument(
-                pending.key,
-                pending.trace,
-                if result.is_ok() { "ok" } else { "job_failed" },
-                &breakdown,
-                latency_ns,
-            );
-            responses.push(ServeResponse {
-                request_id: pending.id,
-                trace: pending.trace,
-                disposition: Disposition::Completed {
-                    batch: index,
-                    latency_ns,
-                    breakdown,
-                    result: result.clone(),
-                },
-            });
-            // fan the leader's answer out to every coalesced follower —
-            // each ticket answered exactly once, with the same payload
-            // bits
-            for f in &pending.followers {
-                let (breakdown, latency_ns) = record(f.enqueued_ns);
-                instrument(
-                    f.key,
-                    f.trace,
-                    if result.is_ok() {
-                        "coalesced"
-                    } else {
-                        "job_failed"
-                    },
-                    &breakdown,
-                    latency_ns,
-                );
+                let lat = now_ns.saturating_sub(enqueued_ns);
+                if let Some(ins) = &self.instruments {
+                    ins.request_latency_ns.record(lat);
+                    ins.slo.record(lat, now_ns);
+                    // request-scoped deltas: every contribution counted
+                    // exactly once, so the merged per-window series are
+                    // invariant under re-sharding
+                    ins.timeline.record_delta("serve.completed", 1, now_ns);
+                    ins.timeline
+                        .record_delta("serve.request_latency_ns", lat, now_ns);
+                    ins.timeline
+                        .record_delta("serve.queue_ns", b.queue_ns, now_ns);
+                    ins.timeline
+                        .record_delta("serve.form_ns", b.form_ns, now_ns);
+                    ins.timeline
+                        .record_delta("serve.exec_ns", b.exec_ns, now_ns);
+                    ins.timeline
+                        .record_delta("serve.respond_ns", b.respond_ns, now_ns);
+                    ins.requests.push(RequestRecord {
+                        request: key,
+                        trace,
+                        outcome: if result.is_ok() { ok } else { "job_failed" },
+                        batch: Some(index),
+                        latency_ns: lat,
+                        queue_ns: b.queue_ns,
+                        form_ns: b.form_ns,
+                        exec_ns: b.exec_ns,
+                        respond_ns: b.respond_ns,
+                        finished_ns: now_ns,
+                    });
+                }
                 responses.push(ServeResponse {
-                    request_id: f.id,
-                    trace: f.trace,
+                    request_id: key,
+                    trace,
                     disposition: Disposition::Completed {
                         batch: index,
-                        latency_ns,
-                        breakdown,
+                        latency_ns: lat,
+                        breakdown: b,
                         result: result.clone(),
                     },
                 });

@@ -24,15 +24,20 @@
 //! * **Graceful drain** — shutdown stops admitting (subsequent
 //!   submissions get [`RejectReason::Draining`]), flushes everything
 //!   still queued as final batches, fulfils every outstanding ticket and
-//!   only then joins the batcher thread.
+//!   only then joins the batcher threads.
 //!
 //! # Two entry points, one core
 //!
-//! [`engine::ServeEngine`] is the single-threaded deterministic form:
-//! callers submit and pump it explicitly, which is how the scripted
-//! determinism tests drive it. [`service::ServeService`] wraps the same
-//! admission/batching core with a background batcher thread and blocking
-//! [`service::Ticket`]s for concurrent callers.
+//! Every shard runs the same core — one admission front, one executor,
+//! one admit → batch → execute pass with one executor-panic path —
+//! behind one router (placement, failover, [`ShardSupervisor`]). One
+//! shard is just the plain case. Two thin drivers run it:
+//! [`ServeEngine`] is the deterministic form, submitted to and pumped
+//! explicitly on an injected clock (how the scripted determinism tests
+//! drive it; [`ServeEngine::sharded`] builds N shards), and
+//! [`ShardedService`] runs one batcher thread per shard plus a
+//! supervisor thread, handing concurrent callers blocking
+//! [`ShardTicket`]s.
 //!
 //! # Determinism contract
 //!
@@ -86,11 +91,8 @@ pub use engine::{BatchRecord, ServeEngine, ServeStats};
 pub use exec::BatchExecutor;
 pub use queue::{AdmissionQueue, BatchTrigger, FormedBatch, RejectReason};
 pub use response::{Disposition, LatencyBreakdown, ServeResponse};
-pub use service::{ServeService, Ticket};
-pub use shard::{
-    request_seed, route_failover, route_request, ShardHealth, ShardTicket, ShardedConfig,
-    ShardedEngine, ShardedService,
-};
+pub use service::{ShardTicket, ShardedService};
+pub use shard::{request_seed, route_failover, route_request, ShardHealth, ShardedConfig};
 pub use supervisor::{ShardSupervisor, SupervisorConfig};
 
 /// Admission, batching and execution policy for the serving layer.

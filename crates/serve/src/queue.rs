@@ -314,26 +314,15 @@ impl AdmissionQueue {
         job: JobSpec,
         deadline_ns: Option<u64>,
     ) -> Result<u64, RejectReason> {
-        self.submit_keyed(now_ns, job, deadline_ns, None)
+        self.submit_prioritized(now_ns, job, deadline_ns, None, 0)
             .map(|a| a.id())
     }
 
-    /// [`Self::submit`] with an explicit seed key: a sharded front
-    /// passes the **global** request id so the request's RNG stream —
-    /// and therefore its payload bits — is the same on any shard count.
-    /// Unkeyed submissions fall back to the local id, which coincides
-    /// with the global id on a single shard.
-    pub(crate) fn submit_keyed(
-        &mut self,
-        now_ns: u64,
-        job: JobSpec,
-        deadline_ns: Option<u64>,
-        key: Option<u64>,
-    ) -> Result<Admitted, RejectReason> {
-        self.submit_prioritized(now_ns, job, deadline_ns, key, 0)
-    }
-
-    /// [`Self::submit_keyed`] with an explicit brownout priority class.
+    /// [`Self::submit`] with an explicit seed key and brownout priority
+    /// class. The engine passes the **global** request id as the key so
+    /// the request's RNG stream — and therefore its payload bits — is
+    /// the same on any shard count. Unkeyed submissions fall back to the
+    /// queue's own id, which coincides with the global id on one shard.
     ///
     /// With the result cache enabled, two things change. The request's
     /// RNG seed derives from its spec's **content hash** instead of its

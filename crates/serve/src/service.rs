@@ -1,86 +1,126 @@
-//! The threaded serving front: concurrent submitters, one batcher.
+//! The threaded serving driver: concurrent submitters, one batcher
+//! thread per shard, one supervisor thread.
 //!
-//! [`ServeService`] wraps the same admission/batching core as
-//! [`crate::ServeEngine`] behind a mutex and runs a background batcher
-//! thread. Submitters get an immediate admit/reject answer plus a
-//! [`Ticket`] they can block on (or poll); the batcher forms batches
-//! *under* the lock but executes them *outside* it, so admission stays
-//! reject-fast while the farm computes.
+//! [`ShardedService`] runs the same per-shard core and router as
+//! [`crate::ServeEngine`]. Submitters get an immediate admit/reject
+//! answer plus a [`ShardTicket`] they can block on (or poll); each
+//! shard's batcher forms batches *under* the shard's lock but executes
+//! them *outside* it, so admission stays reject-fast while the farm
+//! computes.
 //!
 //! # Failure and revival
 //!
 //! Every admitted request gets a **terminal** answer — that promise
 //! holds even when execution dies underneath it. A batch whose executor
-//! panics (a poisoned pool, an armed chaos kill) is caught at the
-//! batcher; the service marks itself [`ShardHealth::Down`], answers the
-//! doomed batch, every later formed batch and the whole queue with
-//! [`crate::Disposition::Failed`] / [`RejectReason::ShardFailed`], and
-//! rejects new submissions the same way. [`Ticket::wait`] therefore
-//! never hangs on a dead shard. A down service stays down until
-//! [`ServeService::revive`] (called by the sharded supervisor after its
-//! backoff) swaps in a fresh executor — fresh worker pool, same shared
-//! cache, clock and instruments — and reopens admission as
-//! [`ShardHealth::Recovering`].
+//! panics (a poisoned pool, an armed chaos kill) is caught by the core:
+//! the supervisor marks the shard [`ShardHealth::Down`], then the core
+//! answers the doomed batch, every later formed batch and the whole
+//! queue with [`crate::Disposition::Failed`] /
+//! [`RejectReason::ShardFailed`]. Traffic fails over meanwhile, and
+//! [`ShardTicket::wait`] never hangs on a dead shard. The supervisor
+//! thread sleeps until a failure or the earliest scheduled restart,
+//! then revives the shard — fresh worker pool, same caches, clock and
+//! instruments — as [`ShardHealth::Recovering`].
+//!
+//! # Lock order
+//!
+//! The router lock (ids, placement, the [`crate::ShardSupervisor`])
+//! comes before any shard's core lock. Submitters and the supervisor
+//! thread take router then core; a batcher reports to the supervisor
+//! only while it holds no core lock.
 
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use canti_farm::{FarmObserver, JobSpec};
-use canti_fault::{ServeChaos, ServeFaultPlan};
+use canti_fault::ServeFaultPlan;
 use canti_obs::{ObsClock, WallClock};
 
-use crate::engine::{Front, ServeStats};
-use crate::exec::BatchExecutor;
-use crate::queue::{FormedBatch, RejectReason};
-use crate::response::{Disposition, ServeResponse};
-use crate::shard::ShardHealth;
-use crate::ServeConfig;
+use crate::engine::{pass, shard_views, Host, Router, ServeStats, ShardCore, Verdict};
+use crate::queue::RejectReason;
+use crate::response::ServeResponse;
+use crate::shard::{sum_cache_stats, sum_stats, ShardHealth, ShardedConfig};
+use crate::supervisor::SupervisorConfig;
 
-/// How long the batcher sleeps when the queue is empty and nothing can
-/// change without a new submission (a submission kicks it immediately).
+/// How long a batcher sleeps when nothing can change without a new
+/// submission (a submission wakes it immediately).
 const IDLE_WAIT: Duration = Duration::from_millis(50);
 
-/// A claim on one admitted request's eventual response.
-///
-/// Fulfilled exactly once — by batch completion, deadline expiry, shard
-/// failure, or the drain flush at shutdown. Dropping the ticket discards
-/// the response.
-#[derive(Debug)]
-pub struct Ticket {
-    id: u64,
-    slot: Arc<Slot>,
-}
-
+/// Where one request's response lands.
 #[derive(Debug, Default)]
-struct Slot {
+pub(crate) struct Slot {
     response: Mutex<Option<ServeResponse>>,
     ready: Condvar,
 }
 
-impl Ticket {
-    /// The request id this ticket redeems.
+/// What a shard's ticket table keeps per outstanding request.
+#[derive(Debug)]
+pub(crate) struct TicketCell {
+    slot: Arc<Slot>,
+    enqueued_ns: u64,
+}
+
+impl TicketCell {
+    /// A fresh cell for a request admitted at `enqueued_ns`, and the
+    /// slot its ticket waits on.
+    pub(crate) fn open(enqueued_ns: u64) -> (Self, Arc<Slot>) {
+        let slot = Arc::new(Slot::default());
+        let cell = Self {
+            slot: Arc::clone(&slot),
+            enqueued_ns,
+        };
+        (cell, slot)
+    }
+
+    pub(crate) fn enqueued_ns(&self) -> u64 {
+        self.enqueued_ns
+    }
+
+    /// Hands `response` to the waiting ticket.
+    pub(crate) fn fulfil(self, response: ServeResponse) {
+        *lock(&self.slot.response) = Some(response);
+        self.slot.ready.notify_all();
+    }
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// A claim on one admitted request's response.
+///
+/// Fulfilled exactly once — by batch completion, deadline expiry, shard
+/// failure, or the drain flush at shutdown. Dropping the ticket
+/// discards the response.
+#[derive(Debug)]
+pub struct ShardTicket {
+    id: u64,
+    shard: usize,
+    slot: Arc<Slot>,
+}
+
+impl ShardTicket {
+    /// The global request id this ticket redeems.
     #[must_use]
     pub fn id(&self) -> u64 {
         self.id
     }
 
-    /// Blocks until the response arrives and returns it.
-    ///
-    /// Every admitted request is answered terminally — completion,
-    /// expiry, shard failure, or the shutdown drain — so this cannot
-    /// wait forever: a dying batcher fails its outstanding tickets
-    /// before the shard goes down.
+    /// The shard serving this request (after failover, when it applied).
+    #[must_use]
+    pub fn shard(&self) -> usize {
+        self.shard
+    }
+
+    /// Blocks until the response arrives and returns it. Always
+    /// terminal: if the serving shard dies, the response is
+    /// [`crate::Disposition::Failed`] — never a hang.
     #[must_use]
     pub fn wait(self) -> ServeResponse {
-        let mut guard = self
-            .slot
-            .response
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut guard = lock(&self.slot.response);
         loop {
             if let Some(response) = guard.take() {
                 return response;
@@ -96,191 +136,208 @@ impl Ticket {
     /// Takes the response if it has already arrived, without blocking.
     #[must_use]
     pub fn poll(&self) -> Option<ServeResponse> {
-        self.slot
-            .response
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take()
+        lock(&self.slot.response).take()
     }
 }
 
-/// What the ticket table remembers about an outstanding request — enough
-/// to answer it terminally even if its `Pending` was consumed by a batch
-/// that died taking the batcher thread with it.
-#[derive(Debug)]
-struct TicketCell {
-    slot: Arc<Slot>,
-    key: u64,
-    trace: u64,
-    enqueued_ns: u64,
-}
-
-struct State {
-    front: Front,
-    tickets: BTreeMap<u64, TicketCell>,
+/// One shard of the threaded driver: its core, and the condvar its
+/// batcher sleeps on.
+struct Shard {
+    core: Mutex<ShardCore>,
+    wake: Condvar,
 }
 
 struct Shared {
-    state: Mutex<State>,
-    wake: Condvar,
-    executor: Mutex<BatchExecutor>,
-    clock: Arc<dyn ObsClock>,
+    shards: Vec<Shard>,
+    router: Mutex<Router>,
+    /// Wakes the supervisor thread: a shard died, or shutdown.
+    supervise: Condvar,
+    /// Supervision time (backoff), whatever clocks the observers run on.
+    clock: WallClock,
     stop: AtomicBool,
-    health: AtomicU8,
-    restarts: AtomicU64,
 }
 
 impl Shared {
-    fn lock(&self) -> MutexGuard<'_, State> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn router(&self) -> MutexGuard<'_, Router> {
+        lock(&self.router)
     }
 
-    fn executor(&self) -> MutexGuard<'_, BatchExecutor> {
-        self.executor
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn core(&self, shard: usize) -> MutexGuard<'_, ShardCore> {
+        lock(&self.shards[shard].core)
     }
 
-    fn health(&self) -> ShardHealth {
-        ShardHealth::from_u8(self.health.load(Ordering::SeqCst))
-    }
-
-    /// One clean batch moves the health ladder one rung:
-    /// `Recovering → Degraded → Healthy`.
-    fn promote_health(&self) {
-        let next = match self.health() {
-            ShardHealth::Recovering => ShardHealth::Degraded,
-            ShardHealth::Degraded => ShardHealth::Healthy,
-            other => other,
-        };
-        self.health.store(next.as_u8(), Ordering::SeqCst);
-    }
-
-    fn fulfil(state: &mut State, responses: Vec<ServeResponse>) {
-        for response in responses {
-            if let Some(cell) = state.tickets.remove(&response.request_id) {
-                *cell
-                    .slot
-                    .response
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(response);
-                cell.slot.ready.notify_all();
-            }
+    /// Stops every thread. Each lock is taken once after the flag is
+    /// set, so no thread can sit between its stop check and its wait.
+    fn halt(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        drop(self.router());
+        self.supervise.notify_all();
+        for (i, shard) in self.shards.iter().enumerate() {
+            drop(self.core(i));
+            shard.wake.notify_all();
         }
     }
 }
 
-/// The multi-threaded serving service.
+/// The threaded driver's [`Host`]: the core under its shard's lock,
+/// verdicts to the supervisor under the router's.
+struct Batcher<'a> {
+    shared: &'a Shared,
+    shard: usize,
+}
+
+impl Host for Batcher<'_> {
+    fn core<R>(&mut self, f: impl FnOnce(&mut ShardCore) -> R) -> R {
+        f(&mut self.shared.core(self.shard))
+    }
+
+    fn report(&mut self, verdict: Verdict) {
+        let now_ns = self.shared.clock.now_ns();
+        self.shared.router().report(self.shard, verdict, now_ns);
+        if verdict == Verdict::Died {
+            self.shared.supervise.notify_all();
+        }
+    }
+}
+
+/// The threaded serving layer: one batcher thread and persistent pool
+/// per shard, submissions routed under one router lock (failing over
+/// when a shard is down), and a supervisor thread reviving dead shards
+/// after their backoff. One shard is just the plain case.
 ///
 /// ```
 /// use canti_farm::{JobSpec, ProbeMode};
-/// use canti_serve::{ServeConfig, ServeService};
+/// use canti_serve::{ServeConfig, ShardedConfig, ShardedService};
 ///
-/// let service = ServeService::start(ServeConfig {
-///     max_batch: 2,
-///     linger_ns: 1_000, // 1 µs: fire quickly even for a lone request
-///     threads: 1,
-///     ..ServeConfig::default()
+/// let service = ShardedService::start(ShardedConfig {
+///     shards: 1,
+///     base: ServeConfig {
+///         max_batch: 2,
+///         linger_ns: 1_000, // 1 µs: fire quickly even for a lone request
+///         threads: 1,
+///         ..ServeConfig::default()
+///     },
 /// });
 /// let ticket = service.submit(JobSpec::Probe(ProbeMode::Value(1.0))).unwrap();
-/// let response = ticket.wait();
-/// assert!(response.disposition.is_ok());
+/// assert!(ticket.wait().disposition.is_ok());
 /// let stats = service.shutdown();
-/// assert_eq!(stats.completed, 1);
+/// assert_eq!(stats[0].completed, 1);
 /// ```
-pub struct ServeService {
+pub struct ShardedService {
     shared: Arc<Shared>,
-    batcher: Mutex<Option<JoinHandle<()>>>,
+    /// The supervisor thread, then one batcher per shard.
+    threads: Vec<JoinHandle<()>>,
 }
 
-impl ServeService {
-    /// Starts a service on the wall clock with no observer.
+impl ShardedService {
+    /// Starts `config.shard_count()` shards on the wall clock.
     #[must_use]
-    pub fn start(config: ServeConfig) -> Self {
-        Self::start_with(config, Arc::new(WallClock::new()), None, None)
+    pub fn start(config: ShardedConfig) -> Self {
+        Self::start_with(
+            config,
+            None,
+            &ServeFaultPlan::default(),
+            SupervisorConfig::default(),
+        )
     }
 
-    /// Starts a service recording serve metrics, spans and farm
-    /// telemetry into `observer`, timed on the observer's own clock.
+    /// Starts one observed shard per observer, each timed on its own
+    /// observer's clock (construct the observers over one shared clock
+    /// for coherent timestamps).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `observers.len()` equals the shard count.
     #[must_use]
-    pub fn start_observed(config: ServeConfig, observer: FarmObserver) -> Self {
-        let clock = Arc::clone(observer.clock());
-        Self::start_with(config, clock, Some(observer), None)
+    pub fn start_observed(config: ShardedConfig, observers: Vec<FarmObserver>) -> Self {
+        Self::start_with(
+            config,
+            Some(observers),
+            &ServeFaultPlan::default(),
+            SupervisorConfig::default(),
+        )
     }
 
-    /// [`Self::start_observed`] with this shard's slice of a serve fault
-    /// plan armed on the executor.
-    pub(crate) fn start_chaos(
-        config: ServeConfig,
-        observer: FarmObserver,
+    /// [`Self::start_observed`] with a serve fault plan armed and an
+    /// explicit supervision policy — the chaos entry point.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `observers.len()` equals the shard count.
+    #[must_use]
+    pub fn start_chaos(
+        config: ShardedConfig,
+        observers: Vec<FarmObserver>,
         plan: &ServeFaultPlan,
-        shard: usize,
+        supervision: SupervisorConfig,
     ) -> Self {
-        let clock = Arc::clone(observer.clock());
-        Self::start_with(config, clock, Some(observer), Some((plan, shard)))
+        Self::start_with(config, Some(observers), plan, supervision)
     }
 
     fn start_with(
-        config: ServeConfig,
-        clock: Arc<dyn ObsClock>,
-        observer: Option<FarmObserver>,
-        chaos: Option<(&ServeFaultPlan, usize)>,
+        config: ShardedConfig,
+        observers: Option<Vec<FarmObserver>>,
+        plan: &ServeFaultPlan,
+        supervision: SupervisorConfig,
     ) -> Self {
-        let mut executor = BatchExecutor::new(config.threads, Arc::clone(&clock));
-        // one result cache shared by front (lookups) and executor
-        // (inserts); revive keeps it — resurrected() clones the handle
-        let cache = config
-            .cache
-            .map(|c| Arc::new(Mutex::new(crate::cache::ReportCache::new(c))));
-        if let Some(c) = &cache {
-            executor = executor.with_report_cache(Arc::clone(c));
-        }
-        // one instrument set shared between front and executor: SLO
-        // windows and the request log must see both halves of a request
-        let instruments = observer
-            .as_ref()
-            .map(|o| crate::exec::ServeInstruments::new(o, config.slo, config.timeline));
-        if let Some(o) = &observer {
-            executor = executor.with_instruments(
-                o.clone(),
-                instruments.clone().expect("built above with the observer"),
-            );
-        }
-        if let Some((plan, shard)) = chaos {
-            let injector = ServeChaos::new(plan, shard);
-            if !injector.is_empty() {
-                executor = executor.with_chaos(Arc::new(Mutex::new(injector)));
+        let n = config.shard_count();
+        let observers = match observers {
+            Some(observers) => {
+                assert_eq!(observers.len(), n, "one observer per shard");
+                observers.into_iter().map(Some).collect()
             }
-        }
+            None => vec![None; n],
+        };
+        let shards = observers
+            .into_iter()
+            .enumerate()
+            .map(|(i, observer)| {
+                let clock: Arc<dyn ObsClock> = match &observer {
+                    Some(o) => Arc::clone(o.clock()),
+                    None => Arc::new(WallClock::new()),
+                };
+                let mut core = ShardCore::new(i, config.base, clock);
+                if let Some(o) = observer {
+                    core.observe(o);
+                }
+                core.arm(plan);
+                Shard {
+                    core: Mutex::new(core),
+                    wake: Condvar::new(),
+                }
+            })
+            .collect();
         let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                front: Front::new(config, Arc::clone(&clock), observer, instruments, cache),
-                tickets: BTreeMap::new(),
-            }),
-            wake: Condvar::new(),
-            executor: Mutex::new(executor),
-            clock,
+            shards,
+            router: Mutex::new(Router::new(n, supervision)),
+            supervise: Condvar::new(),
+            clock: WallClock::new(),
             stop: AtomicBool::new(false),
-            health: AtomicU8::new(ShardHealth::Healthy.as_u8()),
-            restarts: AtomicU64::new(0),
         });
-        let batcher = spawn_batcher(Arc::clone(&shared));
-        Self {
-            shared,
-            batcher: Mutex::new(Some(batcher)),
+        let mut threads = vec![spawn("canti-serve-supervisor", &shared, supervise)];
+        for shard in 0..n {
+            threads.push(spawn("canti-serve-batcher", &shared, move |s| {
+                run_batcher(s, shard);
+            }));
         }
+        Self { shared, threads }
     }
 
-    /// Submits a request (config default deadline, if any, applies) and
-    /// returns its ticket.
+    /// The shard count.
+    #[must_use]
+    pub fn shard_count(&self) -> usize {
+        self.shared.shards.len()
+    }
+
+    /// Submits a request (config default deadline, if any, applies),
+    /// routed by the global id rule with failover when the primary
+    /// shard is down.
     ///
     /// # Errors
     ///
-    /// Rejected immediately with a [`RejectReason`] when the queue is
-    /// full, the shard is down, or the service is shutting down.
-    pub fn submit(&self, job: JobSpec) -> Result<Ticket, RejectReason> {
+    /// Rejected immediately with the target shard's [`RejectReason`];
+    /// [`RejectReason::ShardFailed`] when no live shard remains.
+    pub fn submit(&self, job: JobSpec) -> Result<ShardTicket, RejectReason> {
         self.submit_inner(job, None)
     }
 
@@ -289,409 +346,175 @@ impl ServeService {
     ///
     /// # Errors
     ///
-    /// Rejected immediately with a [`RejectReason`] when the queue is
-    /// full, the shard is down, or the service is shutting down.
+    /// As [`Self::submit`].
     pub fn submit_with_deadline(
         &self,
         job: JobSpec,
         deadline_ns: u64,
-    ) -> Result<Ticket, RejectReason> {
+    ) -> Result<ShardTicket, RejectReason> {
         self.submit_inner(job, Some(deadline_ns))
     }
 
-    fn submit_inner(&self, job: JobSpec, deadline_ns: Option<u64>) -> Result<Ticket, RejectReason> {
-        self.admit(job, deadline_ns, None)
-    }
-
-    /// Submission with an explicit seed key: the sharded front passes
-    /// the global request id so payloads are shard-count-invariant.
-    pub(crate) fn submit_keyed(
+    fn submit_inner(
         &self,
         job: JobSpec,
         deadline_ns: Option<u64>,
-        key: u64,
-    ) -> Result<Ticket, RejectReason> {
-        self.admit(job, deadline_ns, Some(key))
+    ) -> Result<ShardTicket, RejectReason> {
+        // the router lock spans the shard admission, so id assignment
+        // and admission commit atomically — a rejected submit burns no id
+        let (id, shard, slot) = self.shared.router().place(|shard, id, from| {
+            let mut core = self.shared.core(shard);
+            core.admit(job.clone(), deadline_ns, 0, id, from)?;
+            Ok(core.open_ticket(id))
+        })?;
+        self.shared.shards[shard].wake.notify_all();
+        Ok(ShardTicket { id, shard, slot })
     }
 
-    fn admit(
-        &self,
-        job: JobSpec,
-        deadline_ns: Option<u64>,
-        key: Option<u64>,
-    ) -> Result<Ticket, RejectReason> {
-        let ticket = {
-            let mut state = self.shared.lock();
-            let id = state.front.admit_keyed(job, deadline_ns, key)?;
-            let slot = Arc::new(Slot::default());
-            let seed_key = key.unwrap_or(id);
-            state.tickets.insert(
-                id,
-                TicketCell {
-                    slot: Arc::clone(&slot),
-                    key: seed_key,
-                    trace: canti_obs::TraceContext::from_admission(seed_key).trace,
-                    enqueued_ns: self.shared.clock.now_ns(),
-                },
-            );
-            // a cache hit was answered inside admit: fulfil its ticket
-            // now so the caller's wait() returns without a batcher pass
-            let hits = state.front.take_hits();
-            if !hits.is_empty() {
-                Shared::fulfil(&mut state, hits);
-            }
-            Ticket { id, slot }
-        };
-        self.shared.wake.notify_all();
-        Ok(ticket)
+    fn each<R>(&self, f: impl Fn(&ShardCore) -> R) -> Vec<R> {
+        (0..self.shard_count())
+            .map(|i| f(&self.shared.core(i)))
+            .collect()
     }
 
-    /// Requests currently queued (admitted, not yet batched or expired).
-    #[must_use]
-    pub fn queue_depth(&self) -> usize {
-        self.shared.lock().front.depth()
+    fn router(&self) -> MutexGuard<'_, Router> {
+        self.shared.router()
     }
 
-    /// The running serve tallies.
-    #[must_use]
-    pub fn stats(&self) -> ServeStats {
-        self.shared.lock().front.stats()
-    }
-
-    /// The result cache's counters, when [`ServeConfig::cache`] is set.
-    #[must_use]
-    pub fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
-        self.shared.lock().front.cache_stats()
-    }
-
-    /// This shard's current health. `Down` means the executor died and
-    /// the service is refusing work until [`Self::revive`].
-    #[must_use]
-    pub fn health(&self) -> ShardHealth {
-        self.shared.health()
-    }
-
-    /// Whether the shard is down (dead executor, refusing work).
-    #[must_use]
-    pub fn is_down(&self) -> bool {
-        !self.health().is_live()
-    }
-
-    /// Times the executor was replaced by [`Self::revive`].
-    #[must_use]
-    pub fn restarts(&self) -> u64 {
-        self.shared.restarts.load(Ordering::SeqCst)
-    }
-
-    /// Brings a `Down` shard back: swaps in a fresh executor (new worker
-    /// pool; same shared cache, clock, observer and instruments), reopens
-    /// admission and moves health to `Recovering`. Also respawns the
-    /// batcher thread in the unlikely case the thread itself died (the
-    /// normal executor-panic path keeps it alive). Returns `false` when
-    /// the shard was not down.
-    pub fn revive(&self) -> bool {
-        if self
-            .shared
-            .health
-            .compare_exchange(
-                ShardHealth::Down.as_u8(),
-                ShardHealth::Recovering.as_u8(),
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            )
-            .is_err()
-        {
-            return false;
-        }
-        let restarts = self.shared.restarts.fetch_add(1, Ordering::SeqCst) + 1;
-        {
-            let mut executor = self.shared.executor();
-            let fresh = executor.resurrected();
-            *executor = fresh;
-            if let Some(ins) = executor.instruments() {
-                ins.shard_restarts.inc();
-            }
-            if let Some(o) = executor.observer() {
-                o.tracer()
-                    .event("shard_recovered", &[("restarts", restarts.into())]);
-            }
-        }
-        self.shared.lock().front.mark_recovered();
-        {
-            let mut batcher = self
-                .batcher
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if batcher.as_ref().is_some_and(JoinHandle::is_finished) {
-                if let Some(dead) = batcher.take() {
-                    let _ = dead.join();
-                }
-                *batcher = Some(spawn_batcher(Arc::clone(&self.shared)));
-            }
-        }
-        self.shared.wake.notify_all();
-        true
-    }
-
-    /// Records a request failed over *to* this shard (counter + trace
-    /// event on this shard's observer).
-    pub(crate) fn note_failover(&self, request_id: u64, from_shard: usize) {
-        {
-            let state = self.shared.lock();
-            if let Some(ins) = state.front.instruments() {
-                ins.failovers.inc();
-            }
-        }
-        let executor = self.shared.executor();
-        if let Some(o) = executor.observer() {
-            o.tracer().event(
-                "failover",
-                &[("request", request_id.into()), ("from", from_shard.into())],
-            );
-        }
-    }
-
-    /// The attached observer, if the service was started observed.
-    #[must_use]
-    pub fn observer(&self) -> Option<FarmObserver> {
-        self.shared.executor().observer().cloned()
-    }
-
-    /// The SLO tracker scoring this service's requests (present when
-    /// started observed).
-    #[must_use]
-    pub fn slo(&self) -> Option<Arc<canti_obs::SloTracker>> {
-        self.shared
-            .lock()
-            .front
-            .instruments()
-            .map(|i| Arc::clone(&i.slo))
-    }
-
-    /// The bounded finished-request log behind `/debug/requests`
-    /// (present when started observed).
-    #[must_use]
-    pub fn request_log(&self) -> Option<Arc<canti_obs::RequestLog>> {
-        self.shared
-            .lock()
-            .front
-            .instruments()
-            .map(|i| Arc::clone(&i.requests))
-    }
-
-    /// The per-window timeline recorder behind `/debug/timeline`
-    /// (present when started observed).
-    #[must_use]
-    pub fn timeline(&self) -> Option<Arc<canti_obs::TimelineRecorder>> {
-        self.shared
-            .lock()
-            .front
-            .instruments()
-            .map(|i| Arc::clone(&i.timeline))
-    }
-
-    /// The worker threads the executor's persistent pool actually runs.
-    #[must_use]
-    pub fn pool_threads(&self) -> usize {
-        self.shared.executor().pool_threads()
-    }
+    shard_views!();
 
     /// Graceful shutdown: stop admitting (later submissions get
-    /// [`RejectReason::Draining`]), flush everything still queued as
-    /// final batches, fulfil every outstanding ticket, join the batcher
-    /// and return the final tallies.
-    #[must_use = "the drain summary reports what the service did"]
-    pub fn shutdown(self) -> ServeStats {
-        self.shutdown_ref()
+    /// [`RejectReason::Draining`]), stop the supervisor so nothing
+    /// revives mid-drain, flush everything still queued as final
+    /// batches, fulfil every outstanding ticket, join every thread and
+    /// return the final per-shard tallies.
+    #[must_use = "the drain summaries report what each shard did"]
+    pub fn shutdown(mut self) -> Vec<ServeStats> {
+        self.join();
+        self.shard_stats()
     }
 
-    /// [`Self::shutdown`] through a shared reference, for fronts that
-    /// hold the service in an [`Arc`] (idempotent: later calls just
-    /// return the tallies).
-    pub(crate) fn shutdown_ref(&self) -> ServeStats {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.wake.notify_all();
-        let handle = self
-            .batcher
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take();
-        if let Some(handle) = handle {
+    fn join(&mut self) {
+        self.shared.halt();
+        for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
-        self.shared.lock().front.stats()
     }
 }
 
-impl Drop for ServeService {
+impl Drop for ShardedService {
     fn drop(&mut self) {
-        let running = self
-            .batcher
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .is_some();
-        if running {
-            let _ = self.shutdown_ref();
-        }
+        self.join();
     }
 }
 
-impl std::fmt::Debug for ServeService {
+impl std::fmt::Debug for ShardedService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServeService")
-            .field("health", &self.health())
-            .field("queue_depth", &self.queue_depth())
+        f.debug_struct("ShardedService")
+            .field("shards", &self.shard_count())
+            .field("healths", &self.healths())
             .field("stats", &self.stats())
             .finish()
     }
 }
 
-fn spawn_batcher(shared: Arc<Shared>) -> JoinHandle<()> {
+fn spawn(
+    name: &str,
+    shared: &Arc<Shared>,
+    body: impl FnOnce(&Shared) + Send + 'static,
+) -> JoinHandle<()> {
+    let shared = Arc::clone(shared);
     std::thread::Builder::new()
-        .name("canti-serve-batcher".into())
-        .spawn(move || {
-            if catch_unwind(AssertUnwindSafe(|| batcher_loop(&shared))).is_err() {
-                // Safety net for panics outside batch execution (those
-                // are caught per-batch in run_formed): mark the shard
-                // down and answer every outstanding ticket terminally so
-                // no waiter hangs on the dead thread.
-                shared
-                    .health
-                    .store(ShardHealth::Down.as_u8(), Ordering::SeqCst);
-                let mut state = shared.lock();
-                let responses = state.front.fail_queued();
-                Shared::fulfil(&mut state, responses);
-                let known: Vec<(u64, u64, u64, u64)> = state
-                    .tickets
-                    .iter()
-                    .map(|(&id, c)| (id, c.key, c.trace, c.enqueued_ns))
-                    .collect();
-                let responses = state.front.fail_inflight(&known);
-                Shared::fulfil(&mut state, responses);
-            }
-        })
-        .expect("spawn batcher thread")
+        .name(name.into())
+        .spawn(move || body(&shared))
+        .expect("spawn serve thread")
 }
 
-/// One batcher pass: expire, shed and form under the lock, execute each
-/// formed batch outside it, fulfil tickets back under the lock. Returns
-/// whether anything happened.
-fn pump_once(shared: &Shared) -> bool {
-    let (worked, batches) = {
-        let mut state = shared.lock();
-        let expired = state.front.take_expired();
-        let shed = state.front.take_shed();
-        let worked = !expired.is_empty() || !shed.is_empty();
-        Shared::fulfil(&mut state, expired);
-        Shared::fulfil(&mut state, shed);
-        (worked, state.front.form_ready())
-    };
-    run_formed(shared, batches) || worked
-}
-
-/// Executes formed batches in order, fulfilling tickets after each. An
-/// executor panic (poisoned pool, chaos kill) marks the shard `Down` and
-/// answers the doomed batch's members, every later formed batch and the
-/// whole queue with [`RejectReason::ShardFailed`] — terminally, so no
-/// ticket is left hanging. Returns whether any batch ran.
-fn run_formed(shared: &Shared, batches: Vec<FormedBatch>) -> bool {
-    let mut worked = false;
-    let mut batches = batches.into_iter();
-    while let Some(batch) = batches.next() {
-        worked = true;
-        let members = batch.items.clone();
-        let index = batch.index;
-        let result = {
-            let executor = shared.executor();
-            catch_unwind(AssertUnwindSafe(|| executor.execute(batch)))
-        };
-        match result {
-            Ok(responses) => {
-                let clean = responses
-                    .iter()
-                    .any(|r| matches!(r.disposition, Disposition::Completed { .. }));
-                if clean {
-                    // promote before fulfilment so a waiter that wakes on
-                    // its ticket already sees the stepped-up health
-                    shared.promote_health();
-                }
-                let mut state = shared.lock();
-                state.front.finish(&responses);
-                Shared::fulfil(&mut state, responses);
-            }
-            Err(_) => {
-                shared
-                    .health
-                    .store(ShardHealth::Down.as_u8(), Ordering::SeqCst);
-                {
-                    let executor = shared.executor();
-                    if let Some(o) = executor.observer() {
-                        o.tracer().event("shard_down", &[("batch", index.into())]);
-                    }
-                }
-                let mut state = shared.lock();
-                let mut responses: Vec<ServeResponse> = members
-                    .iter()
-                    .flat_map(|p| state.front.fail_pending(p))
-                    .collect();
-                for stranded in batches.by_ref() {
-                    for p in &stranded.items {
-                        responses.extend(state.front.fail_pending(p));
-                    }
-                }
-                responses.extend(state.front.fail_queued());
-                Shared::fulfil(&mut state, responses);
-                break;
-            }
-        }
-    }
-    worked
-}
-
-fn batcher_loop(shared: &Shared) {
-    loop {
-        let worked = pump_once(shared);
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
+/// One shard's batcher: pass after pass, sleeping when a pass did
+/// nothing, then the drain flush at shutdown.
+fn run_batcher(shared: &Shared, shard: usize) {
+    let mut host = Batcher { shared, shard };
+    while !shared.stop.load(Ordering::SeqCst) {
+        let worked =
+            catch_unwind(AssertUnwindSafe(|| pass(&mut host, false).1)).unwrap_or_else(|_| {
+                // safety net for a panic outside batch execution (those
+                // are caught per batch by the core): the shard goes Down
+                // and every outstanding ticket gets a terminal answer
+                host.report(Verdict::Died);
+                host.core(ShardCore::fail_outstanding);
+                true
+            });
         if worked {
             continue; // more may already be ready
         }
-        let state = shared.lock();
+        let core = shared.core(shard);
         if shared.stop.load(Ordering::SeqCst) {
             break;
         }
-        let _unused = shared.wake.wait_timeout(state, IDLE_WAIT);
+        let _unused = shared.shards[shard].wake.wait_timeout(core, IDLE_WAIT);
     }
-    // Drain: stop admission, flush the remainder, answer every ticket.
-    // (A down shard already answered everything; its drain is empty.)
-    let batches = {
-        let mut state = shared.lock();
-        let expired = state.front.take_expired();
-        Shared::fulfil(&mut state, expired);
-        state.front.begin_drain()
-    };
-    let _ = run_formed(shared, batches);
+    let _ = pass(&mut host, true);
+}
+
+/// The supervisor thread: revives every `Down` shard whose backoff has
+/// elapsed, then sleeps until a failure or the earliest scheduled
+/// restart.
+fn supervise(shared: &Shared) {
+    let mut router = shared.router();
+    while !shared.stop.load(Ordering::SeqCst) {
+        let now_ns = shared.clock.now_ns();
+        for shard in 0..shared.shards.len() {
+            if router.revive_due(&mut shared.core(shard), now_ns) {
+                shared.shards[shard].wake.notify_all();
+            }
+        }
+        router = match router.next_restart_ns() {
+            Some(due) => {
+                let wait = Duration::from_nanos(due.saturating_sub(now_ns));
+                shared
+                    .supervise
+                    .wait_timeout(router, wait)
+                    .map_or_else(|e| e.into_inner().0, |(guard, _)| guard)
+            }
+            None => shared
+                .supervise
+                .wait(router)
+                .unwrap_or_else(std::sync::PoisonError::into_inner),
+        };
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{route_request, Disposition, ServeConfig};
     use canti_farm::ProbeMode;
 
     fn probe(v: f64) -> JobSpec {
         JobSpec::Probe(ProbeMode::Value(v))
     }
 
+    fn one(base: ServeConfig) -> ShardedConfig {
+        ShardedConfig { shards: 1, base }
+    }
+
+    /// A restart backoff no test outlives: a dead shard stays `Down`.
+    fn no_restart() -> SupervisorConfig {
+        SupervisorConfig {
+            backoff_base_ns: 60_000_000_000,
+            ..SupervisorConfig::default()
+        }
+    }
+
     #[test]
     fn tickets_resolve_for_size_triggered_batches() {
-        let service = ServeService::start(ServeConfig {
+        let service = ShardedService::start(one(ServeConfig {
             max_batch: 4,
             linger_ns: 1_000_000_000, // 1 s: only size can fire
             threads: 2,
             ..ServeConfig::default()
-        });
-        let tickets: Vec<Ticket> = (0..4)
+        }));
+        let tickets: Vec<ShardTicket> = (0..4)
             .map(|i| service.submit(probe(f64::from(i))).expect("admitted"))
             .collect();
         for (i, t) in tickets.into_iter().enumerate() {
@@ -699,8 +522,8 @@ mod tests {
             assert_eq!(r.request_id, i as u64);
             assert!(r.disposition.is_ok(), "request {i}: {r}");
         }
-        assert_eq!(service.health(), ShardHealth::Healthy);
-        let stats = service.shutdown();
+        assert_eq!(service.healths()[0], ShardHealth::Healthy);
+        let stats = service.shutdown()[0];
         assert_eq!(stats.completed, 4);
         assert_eq!(stats.batches, 1);
     }
@@ -708,13 +531,13 @@ mod tests {
     #[test]
     fn full_queue_rejects_fast() {
         // Huge linger + threshold so nothing drains the queue.
-        let service = ServeService::start(ServeConfig {
+        let service = ShardedService::start(one(ServeConfig {
             queue_capacity: 2,
             max_batch: 64,
             linger_ns: u64::MAX,
             threads: 1,
             ..ServeConfig::default()
-        });
+        }));
         let a = service.submit(probe(1.0)).expect("first admitted");
         let b = service.submit(probe(2.0)).expect("second admitted");
         assert_eq!(
@@ -723,7 +546,7 @@ mod tests {
         );
         assert_eq!(service.queue_depth(), 2);
         // Shutdown drains the two queued requests and answers them.
-        let stats = service.shutdown();
+        let stats = service.shutdown()[0];
         assert!(a.wait().disposition.is_ok());
         assert!(b.wait().disposition.is_ok());
         assert_eq!(stats.rejected, 1);
@@ -732,12 +555,12 @@ mod tests {
 
     #[test]
     fn expired_requests_get_expiry_responses() {
-        let service = ServeService::start(ServeConfig {
+        let service = ShardedService::start(one(ServeConfig {
             max_batch: 64,
             linger_ns: u64::MAX, // batches can never fire...
             threads: 1,
             ..ServeConfig::default()
-        });
+        }));
         // ...so a 1 ns deadline must expire the request instead.
         let ticket = service
             .submit_with_deadline(probe(1.0), 1)
@@ -747,23 +570,23 @@ mod tests {
             Disposition::Expired { .. } => {}
             other => panic!("expected expiry, got {other:?}"),
         }
-        let stats = service.shutdown();
+        let stats = service.shutdown()[0];
         assert_eq!(stats.expired, 1);
         assert_eq!(stats.completed, 0);
     }
 
     #[test]
     fn shutdown_drains_outstanding_requests() {
-        let service = ServeService::start(ServeConfig {
+        let service = ShardedService::start(one(ServeConfig {
             max_batch: 64,
             linger_ns: u64::MAX,
             threads: 2,
             ..ServeConfig::default()
-        });
-        let tickets: Vec<Ticket> = (0..5)
+        }));
+        let tickets: Vec<ShardTicket> = (0..5)
             .map(|i| service.submit(probe(f64::from(i))).expect("admitted"))
             .collect();
-        let stats = service.shutdown();
+        let stats = service.shutdown()[0];
         assert_eq!(stats.admitted, 5);
         assert_eq!(stats.completed, 5, "drain answered everything");
         for t in tickets {
@@ -775,22 +598,22 @@ mod tests {
     #[test]
     fn observed_service_counts_through_the_shared_registry() {
         let (observer, _ring) = FarmObserver::profiling(4096);
-        let service = ServeService::start_observed(
-            ServeConfig {
+        let service = ShardedService::start_observed(
+            one(ServeConfig {
                 max_batch: 3,
                 linger_ns: 1_000_000_000,
                 threads: 1,
                 ..ServeConfig::default()
-            },
-            observer,
+            }),
+            vec![observer],
         );
-        let tickets: Vec<Ticket> = (0..3)
+        let tickets: Vec<ShardTicket> = (0..3)
             .map(|i| service.submit(probe(f64::from(i))).expect("admitted"))
             .collect();
         for t in tickets {
             assert!(t.wait().disposition.is_ok());
         }
-        let observer = service.observer().expect("observer");
+        let observer = service.observers()[0].clone().expect("observer");
         let m = observer.metrics();
         assert_eq!(m.counter("serve.admitted").get(), 3);
         assert_eq!(m.counter("serve.completed").get(), 3);
@@ -799,12 +622,12 @@ mod tests {
 
     #[test]
     fn drop_performs_shutdown() {
-        let service = ServeService::start(ServeConfig {
+        let service = ShardedService::start(one(ServeConfig {
             max_batch: 64,
             linger_ns: u64::MAX,
             threads: 1,
             ..ServeConfig::default()
-        });
+        }));
         let ticket = service.submit(probe(1.0)).expect("admitted");
         drop(service); // must drain, not leak the batcher or the ticket
         assert!(ticket.wait().disposition.is_ok());
@@ -818,18 +641,18 @@ mod tests {
         // Failed answer, never a hang.
         let (observer, _ring) = FarmObserver::profiling(4096);
         let plan = ServeFaultPlan::kill_shard(0, 0);
-        let service = ServeService::start_chaos(
-            ServeConfig {
+        let service = ShardedService::start_chaos(
+            one(ServeConfig {
                 max_batch: 2,
                 linger_ns: u64::MAX, // only size fires: 2 ride, 1 queues
                 threads: 1,
                 ..ServeConfig::default()
-            },
-            observer,
+            }),
+            vec![observer],
             &plan,
-            0,
+            no_restart(),
         );
-        let tickets: Vec<Ticket> = (0..3)
+        let tickets: Vec<ShardTicket> = (0..3)
             .map(|i| service.submit(probe(f64::from(i))).expect("admitted"))
             .collect();
         for (i, t) in tickets.into_iter().enumerate() {
@@ -841,44 +664,59 @@ mod tests {
                 other => panic!("request {i}: expected ShardFailed, got {other:?}"),
             }
         }
-        assert_eq!(service.health(), ShardHealth::Down);
-        assert!(service.is_down());
+        assert_eq!(service.healths()[0], ShardHealth::Down);
+        assert!(!service.healths()[0].is_live());
         // a down shard refuses new work with the same terminal reason
         assert_eq!(
             service.submit(probe(9.0)).map(|t| t.id()),
             Err(RejectReason::ShardFailed)
         );
-        let stats = service.shutdown();
+        let stats = service.shutdown()[0];
         assert_eq!(stats.admitted, 3);
         assert_eq!(stats.failed, 3);
         assert_eq!(stats.completed, 0);
     }
 
-    #[test]
-    fn revive_brings_a_down_shard_back() {
+    /// Kills a 1-shard service's first batch, then waits for the
+    /// supervisor to revive it.
+    fn killed_and_revived(supervision: SupervisorConfig) -> ShardedService {
         let (observer, _ring) = FarmObserver::profiling(4096);
-        let plan = ServeFaultPlan::kill_shard(0, 0);
-        let service = ServeService::start_chaos(
-            ServeConfig {
+        let service = ShardedService::start_chaos(
+            one(ServeConfig {
                 max_batch: 1,
                 linger_ns: u64::MAX,
                 threads: 1,
                 ..ServeConfig::default()
-            },
-            observer,
-            &plan,
-            0,
+            }),
+            vec![observer],
+            &ServeFaultPlan::kill_shard(0, 0),
+            supervision,
         );
         let doomed = service.submit(probe(1.0)).expect("admitted");
         assert!(matches!(
             doomed.wait().disposition,
             Disposition::Failed { .. }
         ));
-        assert_eq!(service.health(), ShardHealth::Down);
+        assert_eq!(
+            service.healths()[0],
+            ShardHealth::Down,
+            "Down before the doomed ticket is answered"
+        );
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !service.healths()[0].is_live() {
+            assert!(std::time::Instant::now() < deadline, "never revived");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        service
+    }
 
-        assert!(service.revive(), "down shard revives");
-        assert!(!service.revive(), "second revive is a no-op");
-        assert_eq!(service.health(), ShardHealth::Recovering);
+    #[test]
+    fn the_supervisor_revives_a_down_shard() {
+        let service = killed_and_revived(SupervisorConfig {
+            backoff_base_ns: 20_000_000, // 20 ms
+            ..SupervisorConfig::default()
+        });
+        assert_eq!(service.healths()[0], ShardHealth::Recovering);
         assert_eq!(service.restarts(), 1);
 
         // the revived shard serves again (the kill event already fired)
@@ -886,16 +724,43 @@ mod tests {
         assert!(ticket.wait().disposition.is_ok());
         assert!(
             matches!(
-                service.health(),
+                service.healths()[0],
                 ShardHealth::Degraded | ShardHealth::Healthy
             ),
             "clean batches walk the ladder up, got {:?}",
-            service.health()
+            service.healths()[0]
         );
-        let observer = service.observer().expect("observer");
+        let observer = service.observers()[0].clone().expect("observer");
         assert_eq!(observer.metrics().counter("serve.shard_restarts").get(), 1);
-        let stats = service.shutdown();
+        let stats = service.shutdown()[0];
         assert_eq!(stats.failed, 1);
         assert_eq!(stats.completed, 1);
+    }
+
+    #[test]
+    fn sharded_service_round_trips_with_global_ids() {
+        let service = ShardedService::start(ShardedConfig {
+            shards: 3,
+            base: ServeConfig {
+                max_batch: 2,
+                linger_ns: 1_000, // 1 µs: lone requests fire quickly
+                threads: 1,
+                ..ServeConfig::default()
+            },
+        });
+        let tickets: Vec<ShardTicket> = (0..9)
+            .map(|i| service.submit(probe(f64::from(i))).expect("admitted"))
+            .collect();
+        for (i, t) in tickets.into_iter().enumerate() {
+            assert_eq!(t.id(), i as u64);
+            assert_eq!(t.shard(), route_request(i as u64, 3));
+            let r = t.wait();
+            assert_eq!(r.request_id, i as u64, "responses carry the global id");
+            assert!(r.disposition.is_ok(), "request {i}: {r}");
+        }
+        assert_eq!(service.healths(), vec![ShardHealth::Healthy; 3]);
+        let per_shard = service.shutdown();
+        assert_eq!(per_shard.len(), 3);
+        assert_eq!(per_shard.iter().map(|s| s.completed).sum::<u64>(), 9);
     }
 }

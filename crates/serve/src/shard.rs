@@ -1,11 +1,12 @@
-//! Sharded serving: N independent farm shards behind deterministic
-//! request routing, with health supervision and failover.
+//! Sharded serving: the routing, failover and seed rules that bind N
+//! independent farm shards into one service, and the shard health
+//! states the supervisor tracks.
 //!
 //! A shard is a complete serving stack of its own — admission queue,
-//! batcher, executor, persistent worker pool — so shards share no locks
-//! and no queues. What binds them into one service is the routing rule
-//! and the request-seed rule, both pure functions of the **global**
-//! request id:
+//! executor, persistent worker pool (and, threaded, a batcher) — so
+//! shards share no queues. What binds them into one service is the
+//! routing rule and the request-seed rule, both pure functions of the
+//! **global** request id:
 //!
 //! * **Routing** — [`route_request`] sends global id `g` to shard
 //!   `splitmix64(g) % shards`. Nothing else (arrival time, payload,
@@ -40,20 +41,7 @@
 //! assignment and every terminal answer are identical at any worker
 //! count.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
-
-use canti_farm::{FarmObserver, JobSpec};
-use canti_fault::ServeFaultPlan;
-use canti_obs::ObsClock;
-
-use crate::engine::{BatchRecord, ServeEngine, ServeStats};
-use crate::queue::RejectReason;
-use crate::response::ServeResponse;
-use crate::service::{ServeService, Ticket};
-use crate::supervisor::{ShardSupervisor, SupervisorConfig};
+use crate::engine::ServeStats;
 use crate::ServeConfig;
 
 /// The 64-bit splitmix finalizer: a cheap, well-mixed bijection on
@@ -161,30 +149,6 @@ impl ShardHealth {
     pub fn is_live(&self) -> bool {
         !matches!(self, Self::Down)
     }
-
-    /// Compact encoding for the atomic health cells the threaded
-    /// service publishes.
-    #[must_use]
-    pub fn as_u8(&self) -> u8 {
-        match self {
-            Self::Healthy => 0,
-            Self::Degraded => 1,
-            Self::Down => 2,
-            Self::Recovering => 3,
-        }
-    }
-
-    /// Inverse of [`Self::as_u8`] (unknown encodings read as `Down`,
-    /// the conservative answer).
-    #[must_use]
-    pub fn from_u8(v: u8) -> Self {
-        match v {
-            0 => Self::Healthy,
-            1 => Self::Degraded,
-            3 => Self::Recovering,
-            _ => Self::Down,
-        }
-    }
 }
 
 /// Configuration of a sharded serving layer: the shard count plus the
@@ -220,676 +184,8 @@ impl Default for ShardedConfig {
     }
 }
 
-/// The deterministic, explicitly pumped form of the sharded serving
-/// layer: [`crate::ServeEngine`]s behind [`route_request`], sharing one
-/// injected clock, supervised by a [`ShardSupervisor`]. This is what
-/// the scripted shard-determinism and failover tests drive.
-#[derive(Debug)]
-pub struct ShardedEngine {
-    engines: Vec<ServeEngine>,
-    /// Per shard: local request id → global request id, in admission
-    /// order (shard engines assign dense local ids on success).
-    locals: Vec<Vec<u64>>,
-    next_id: u64,
-    clock: Arc<dyn ObsClock>,
-    supervisor: ShardSupervisor,
-    failovers: u64,
-}
-
-impl ShardedEngine {
-    /// A sharded engine under `config`, timing every shard on `clock`,
-    /// supervised under [`SupervisorConfig::default`].
-    #[must_use]
-    pub fn new(config: ShardedConfig, clock: Arc<dyn ObsClock>) -> Self {
-        let n = config.shard_count();
-        Self {
-            engines: (0..n)
-                .map(|_| ServeEngine::new(config.base, Arc::clone(&clock)))
-                .collect(),
-            locals: vec![Vec::new(); n],
-            next_id: 0,
-            clock,
-            supervisor: ShardSupervisor::new(SupervisorConfig::default(), n),
-            failovers: 0,
-        }
-    }
-
-    /// Attaches one observer per shard (so each shard records into its
-    /// own registry, which the merged `/metrics` view labels by shard).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `observers.len()` equals the shard count.
-    #[must_use]
-    pub fn with_observers(mut self, observers: Vec<FarmObserver>) -> Self {
-        assert_eq!(
-            observers.len(),
-            self.engines.len(),
-            "one observer per shard"
-        );
-        self.engines = self
-            .engines
-            .into_iter()
-            .zip(observers)
-            .map(|(e, o)| e.with_observer(o))
-            .collect();
-        self
-    }
-
-    /// Replaces the supervision policy (backoff, probation).
-    #[must_use]
-    pub fn with_supervisor(mut self, config: SupervisorConfig) -> Self {
-        self.supervisor = ShardSupervisor::new(config, self.engines.len());
-        self
-    }
-
-    /// Arms a [`ServeFaultPlan`]: each shard engine consumes its slice
-    /// of the plan. Shards with no scheduled events install nothing, so
-    /// an empty plan is provably identical to no plan.
-    #[must_use]
-    pub fn with_chaos_plan(mut self, plan: &ServeFaultPlan) -> Self {
-        self.engines = self
-            .engines
-            .into_iter()
-            .enumerate()
-            .map(|(shard, e)| e.with_chaos_plan(plan, shard))
-            .collect();
-        self
-    }
-
-    /// The shard count.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.engines.len()
-    }
-
-    /// The shard the next admitted request will route to (before
-    /// failover).
-    #[must_use]
-    pub fn next_shard(&self) -> usize {
-        route_request(self.next_id, self.engines.len())
-    }
-
-    /// Submits a request (config default deadline applies), returning
-    /// its **global** id.
-    ///
-    /// # Errors
-    ///
-    /// Rejected with the target shard's [`RejectReason`]; a rejected
-    /// submission does not consume a global id, so the id stream — and
-    /// with it every later request's routing and seed — is independent
-    /// of transient rejections.
-    pub fn submit(&mut self, job: JobSpec) -> Result<u64, RejectReason> {
-        self.submit_keyed(job, None)
-    }
-
-    /// Submits a request that expires `deadline_ns` after admission.
-    ///
-    /// # Errors
-    ///
-    /// Rejected with the target shard's [`RejectReason`].
-    pub fn submit_with_deadline(
-        &mut self,
-        job: JobSpec,
-        deadline_ns: u64,
-    ) -> Result<u64, RejectReason> {
-        self.submit_keyed(job, Some(deadline_ns))
-    }
-
-    fn submit_keyed(
-        &mut self,
-        job: JobSpec,
-        deadline_ns: Option<u64>,
-    ) -> Result<u64, RejectReason> {
-        let global = self.next_id;
-        let n = self.engines.len();
-        let primary = route_request(global, n);
-        let shard = if self.shard_is_live(primary) {
-            primary
-        } else {
-            // deterministic failover: same health script, same reroute
-            let mask: Vec<bool> = (0..n).map(|s| self.shard_is_live(s)).collect();
-            let target = route_failover(global, &mask).ok_or(RejectReason::ShardFailed)?;
-            self.failovers += 1;
-            if let Some(ins) = self.engines[target].instruments() {
-                ins.failovers.inc();
-            }
-            if let Some(o) = self.engines[target].observer() {
-                o.tracer().event(
-                    "failover",
-                    &[
-                        ("request", global.into()),
-                        ("from", primary.into()),
-                        ("to", target.into()),
-                    ],
-                );
-            }
-            target
-        };
-        let local = self.engines[shard].submit_keyed(job, deadline_ns, global)?;
-        debug_assert_eq!(local as usize, self.locals[shard].len());
-        self.locals[shard].push(global);
-        self.next_id += 1;
-        Ok(global)
-    }
-
-    /// A shard is routable unless the supervisor marks it `Down` or its
-    /// engine has failed and the supervisor simply hasn't pumped yet.
-    fn shard_is_live(&self, shard: usize) -> bool {
-        self.supervisor.is_live(shard) && !self.engines[shard].is_failed()
-    }
-
-    /// Pumps every shard in shard order, returning all responses with
-    /// their **global** request ids. This is also where supervision
-    /// runs: `Down` shards whose backoff has elapsed are resurrected
-    /// before pumping, and shards that die during the pump are recorded
-    /// (their queued requests were already answered terminally by the
-    /// engine's failure path).
-    pub fn pump(&mut self) -> Vec<ServeResponse> {
-        let now_ns = self.clock.now_ns();
-        let mut out = Vec::new();
-        for shard in 0..self.engines.len() {
-            if self.supervisor.restart_due(shard, now_ns) && self.engines[shard].resurrect() {
-                self.supervisor.record_restart(shard);
-            }
-            let was_failed = self.engines[shard].is_failed();
-            let responses = self.engines[shard].pump();
-            let clean = responses
-                .iter()
-                .any(|r| matches!(r.disposition, crate::Disposition::Completed { .. }));
-            out.extend(self.globalize(shard, responses));
-            if !was_failed && self.engines[shard].is_failed() {
-                self.supervisor.record_failure(shard, now_ns);
-            } else if clean {
-                self.supervisor.record_clean_batch(shard);
-            }
-        }
-        out
-    }
-
-    /// Drains every shard in shard order; afterwards all shards reject
-    /// with [`RejectReason::Draining`].
-    pub fn drain(&mut self) -> Vec<ServeResponse> {
-        let mut out = Vec::new();
-        for shard in 0..self.engines.len() {
-            let responses = self.engines[shard].drain();
-            out.extend(self.globalize(shard, responses));
-        }
-        out
-    }
-
-    /// Total requests queued across all shards.
-    #[must_use]
-    pub fn queue_depth(&self) -> usize {
-        self.engines.iter().map(ServeEngine::queue_depth).sum()
-    }
-
-    /// Summed tallies across shards.
-    #[must_use]
-    pub fn stats(&self) -> ServeStats {
-        sum_stats(self.engines.iter().map(ServeEngine::stats))
-    }
-
-    /// Summed result-cache counters across shards (`None` when the
-    /// config has caching off).
-    #[must_use]
-    pub fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
-        sum_cache_stats(self.engines.iter().map(ServeEngine::cache_stats))
-    }
-
-    /// Per-shard tallies, in shard order.
-    #[must_use]
-    pub fn shard_stats(&self) -> Vec<ServeStats> {
-        self.engines.iter().map(ServeEngine::stats).collect()
-    }
-
-    /// Per-shard health, in shard order, as the supervisor last saw it
-    /// (updated at every [`Self::pump`]).
-    #[must_use]
-    pub fn healths(&self) -> Vec<ShardHealth> {
-        self.supervisor.healths()
-    }
-
-    /// Requests rerouted off a `Down` primary so far.
-    #[must_use]
-    pub fn failovers(&self) -> u64 {
-        self.failovers
-    }
-
-    /// Shard restarts performed so far, across all shards.
-    #[must_use]
-    pub fn restarts(&self) -> u64 {
-        self.supervisor.total_restarts()
-    }
-
-    /// The supervisor's view of the shards (for tests and tools).
-    #[must_use]
-    pub fn supervisor(&self) -> &ShardSupervisor {
-        &self.supervisor
-    }
-
-    /// One shard's batch log with member ids rewritten to global ids.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shard` is out of range.
-    #[must_use]
-    pub fn batch_log(&self, shard: usize) -> Vec<BatchRecord> {
-        self.engines[shard]
-            .batch_log()
-            .iter()
-            .map(|b| BatchRecord {
-                index: b.index,
-                trigger: b.trigger,
-                seed: b.seed,
-                request_ids: b
-                    .request_ids
-                    .iter()
-                    .map(|&local| self.locals[shard][local as usize])
-                    .collect(),
-            })
-            .collect()
-    }
-
-    /// One shard's engine (for observers / wakeups in tests and tools).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shard` is out of range.
-    #[must_use]
-    pub fn shard(&self, shard: usize) -> &ServeEngine {
-        &self.engines[shard]
-    }
-
-    /// Per-shard SLO trackers, in shard order (empty entries for
-    /// unobserved shards).
-    #[must_use]
-    pub fn slos(&self) -> Vec<Option<Arc<canti_obs::SloTracker>>> {
-        self.engines.iter().map(ServeEngine::slo).collect()
-    }
-
-    /// Per-shard request logs, in shard order (empty entries for
-    /// unobserved shards).
-    #[must_use]
-    pub fn request_logs(&self) -> Vec<Option<Arc<canti_obs::RequestLog>>> {
-        self.engines.iter().map(ServeEngine::request_log).collect()
-    }
-
-    /// Per-shard timeline recorders, in shard order (empty entries for
-    /// unobserved shards).
-    #[must_use]
-    pub fn timelines(&self) -> Vec<Option<Arc<canti_obs::TimelineRecorder>>> {
-        self.engines.iter().map(ServeEngine::timeline).collect()
-    }
-
-    fn globalize(&self, shard: usize, responses: Vec<ServeResponse>) -> Vec<ServeResponse> {
-        responses
-            .into_iter()
-            .map(|mut r| {
-                r.request_id = self.locals[shard][r.request_id as usize];
-                r
-            })
-            .collect()
-    }
-}
-
-/// A claim on one sharded request's response: a shard-local
-/// [`Ticket`] plus the global id it redeems under.
-#[derive(Debug)]
-pub struct ShardTicket {
-    global_id: u64,
-    shard: usize,
-    inner: Ticket,
-}
-
-impl ShardTicket {
-    /// The global request id this ticket redeems.
-    #[must_use]
-    pub fn id(&self) -> u64 {
-        self.global_id
-    }
-
-    /// The shard serving this request (after failover, when it applied).
-    #[must_use]
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
-    /// Blocks until the response arrives, rewritten to the global id.
-    /// Always terminal: if the serving shard dies, the response is
-    /// [`crate::Disposition::Failed`] — never a hang.
-    #[must_use]
-    pub fn wait(self) -> ServeResponse {
-        let mut response = self.inner.wait();
-        response.request_id = self.global_id;
-        response
-    }
-
-    /// Takes the response if already available, rewritten to the global
-    /// id, without blocking.
-    #[must_use]
-    pub fn poll(&self) -> Option<ServeResponse> {
-        self.inner.poll().map(|mut r| {
-            r.request_id = self.global_id;
-            r
-        })
-    }
-}
-
-/// The threaded form of the sharded serving layer: one
-/// [`ServeService`] (batcher thread, persistent pool) per shard, with
-/// submissions routed by [`route_request`] under a single id lock,
-/// failing over via [`route_failover`] when a shard is down, and a
-/// background supervisor thread resurrecting dead shards after their
-/// backoff.
-pub struct ShardedService {
-    shards: Vec<Arc<ServeService>>,
-    /// The global id allocator. Held across the shard submit so id
-    /// assignment and admission commit atomically — a rejected submit
-    /// burns no id.
-    router: Mutex<u64>,
-    failovers: Arc<AtomicU64>,
-    supervisor_stop: Arc<AtomicBool>,
-    supervisor_thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl ShardedService {
-    /// Starts `config.shard_count()` services on the wall clock.
-    #[must_use]
-    pub fn start(config: ShardedConfig) -> Self {
-        Self::start_with(
-            config,
-            None,
-            &ServeFaultPlan::default(),
-            SupervisorConfig::default(),
-        )
-    }
-
-    /// Starts one observed service per shard, each timed on its own
-    /// observer's clock (construct the observers over one shared clock
-    /// for coherent timestamps).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `observers.len()` equals the shard count.
-    #[must_use]
-    pub fn start_observed(config: ShardedConfig, observers: Vec<FarmObserver>) -> Self {
-        Self::start_with(
-            config,
-            Some(observers),
-            &ServeFaultPlan::default(),
-            SupervisorConfig::default(),
-        )
-    }
-
-    /// [`Self::start_observed`] with a serve fault plan armed and an
-    /// explicit supervision policy — the chaos entry point.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `observers.len()` equals the shard count.
-    #[must_use]
-    pub fn start_chaos(
-        config: ShardedConfig,
-        observers: Vec<FarmObserver>,
-        plan: &ServeFaultPlan,
-        supervision: SupervisorConfig,
-    ) -> Self {
-        Self::start_with(config, Some(observers), plan, supervision)
-    }
-
-    fn start_with(
-        config: ShardedConfig,
-        observers: Option<Vec<FarmObserver>>,
-        plan: &ServeFaultPlan,
-        supervision: SupervisorConfig,
-    ) -> Self {
-        let n = config.shard_count();
-        let shards: Vec<Arc<ServeService>> = match observers {
-            Some(observers) => {
-                assert_eq!(observers.len(), n, "one observer per shard");
-                observers
-                    .into_iter()
-                    .enumerate()
-                    .map(|(shard, o)| {
-                        Arc::new(ServeService::start_chaos(config.base, o, plan, shard))
-                    })
-                    .collect()
-            }
-            None => (0..n)
-                .map(|shard| {
-                    let svc = ServeService::start(config.base);
-                    debug_assert_eq!(svc.health().as_u8(), ShardHealth::Healthy.as_u8());
-                    let _ = shard;
-                    Arc::new(svc)
-                })
-                .collect(),
-        };
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread = spawn_service_supervisor(shards.clone(), supervision, Arc::clone(&stop));
-        Self {
-            shards,
-            router: Mutex::new(0),
-            failovers: Arc::new(AtomicU64::new(0)),
-            supervisor_stop: stop,
-            supervisor_thread: Some(thread),
-        }
-    }
-
-    /// The shard count.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Submits a request, routed by the global id rule (with failover
-    /// when the primary shard is down).
-    ///
-    /// # Errors
-    ///
-    /// Rejected immediately with the target shard's [`RejectReason`];
-    /// [`RejectReason::ShardFailed`] when no live shard remains.
-    pub fn submit(&self, job: JobSpec) -> Result<ShardTicket, RejectReason> {
-        self.submit_keyed(job, None)
-    }
-
-    /// Submits a request that expires `deadline_ns` after admission.
-    ///
-    /// # Errors
-    ///
-    /// Rejected immediately with the target shard's [`RejectReason`].
-    pub fn submit_with_deadline(
-        &self,
-        job: JobSpec,
-        deadline_ns: u64,
-    ) -> Result<ShardTicket, RejectReason> {
-        self.submit_keyed(job, Some(deadline_ns))
-    }
-
-    fn submit_keyed(
-        &self,
-        job: JobSpec,
-        deadline_ns: Option<u64>,
-    ) -> Result<ShardTicket, RejectReason> {
-        let mut next_id = self
-            .router
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let global_id = *next_id;
-        let n = self.shards.len();
-        let primary = route_request(global_id, n);
-        let mut mask: Vec<bool> = self.shards.iter().map(|s| !s.is_down()).collect();
-        // a shard can die between the mask read and the submit; each
-        // ShardFailed answer marks it dead in our local mask and retries
-        // the failover rule, until no live shard remains
-        loop {
-            let shard = match route_failover(global_id, &mask) {
-                Some(s) => s,
-                None => return Err(RejectReason::ShardFailed),
-            };
-            match self.shards[shard].submit_keyed(job.clone(), deadline_ns, global_id) {
-                Ok(inner) => {
-                    if shard != primary {
-                        self.failovers.fetch_add(1, Ordering::Relaxed);
-                        self.shards[shard].note_failover(global_id, primary);
-                    }
-                    *next_id += 1;
-                    return Ok(ShardTicket {
-                        global_id,
-                        shard,
-                        inner,
-                    });
-                }
-                Err(RejectReason::ShardFailed) => {
-                    mask[shard] = false;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Total requests queued across all shards.
-    #[must_use]
-    pub fn queue_depth(&self) -> usize {
-        self.shards.iter().map(|s| s.queue_depth()).sum()
-    }
-
-    /// Summed tallies across shards.
-    #[must_use]
-    pub fn stats(&self) -> ServeStats {
-        sum_stats(self.shards.iter().map(|s| s.stats()))
-    }
-
-    /// Summed result-cache counters across shards (`None` when the
-    /// config has caching off).
-    #[must_use]
-    pub fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
-        sum_cache_stats(self.shards.iter().map(|s| s.cache_stats()))
-    }
-
-    /// Per-shard tallies, in shard order.
-    #[must_use]
-    pub fn shard_stats(&self) -> Vec<ServeStats> {
-        self.shards.iter().map(|s| s.stats()).collect()
-    }
-
-    /// Per-shard health, in shard order.
-    #[must_use]
-    pub fn healths(&self) -> Vec<ShardHealth> {
-        self.shards.iter().map(|s| s.health()).collect()
-    }
-
-    /// Requests rerouted off a down primary so far.
-    #[must_use]
-    pub fn failovers(&self) -> u64 {
-        self.failovers.load(Ordering::Relaxed)
-    }
-
-    /// Shard restarts performed by the supervisor so far, across all
-    /// shards.
-    #[must_use]
-    pub fn restarts(&self) -> u64 {
-        self.shards.iter().map(|s| s.restarts()).sum()
-    }
-
-    /// Per-shard observers (empty entries when started unobserved).
-    #[must_use]
-    pub fn observers(&self) -> Vec<Option<FarmObserver>> {
-        self.shards.iter().map(|s| s.observer()).collect()
-    }
-
-    /// Per-shard SLO trackers, in shard order (empty entries when
-    /// started unobserved).
-    #[must_use]
-    pub fn slos(&self) -> Vec<Option<Arc<canti_obs::SloTracker>>> {
-        self.shards.iter().map(|s| s.slo()).collect()
-    }
-
-    /// Per-shard request logs, in shard order (empty entries when
-    /// started unobserved).
-    #[must_use]
-    pub fn request_logs(&self) -> Vec<Option<Arc<canti_obs::RequestLog>>> {
-        self.shards.iter().map(|s| s.request_log()).collect()
-    }
-
-    /// Per-shard timeline recorders, in shard order (empty entries when
-    /// started unobserved).
-    #[must_use]
-    pub fn timelines(&self) -> Vec<Option<Arc<canti_obs::TimelineRecorder>>> {
-        self.shards.iter().map(|s| s.timeline()).collect()
-    }
-
-    /// Per-shard pool widths (the worker threads each shard's executor
-    /// actually runs), in shard order.
-    #[must_use]
-    pub fn pool_threads(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.pool_threads()).collect()
-    }
-
-    /// Gracefully shuts down every shard in shard order (stopping the
-    /// supervisor thread first so nothing resurrects mid-drain),
-    /// returning the final per-shard tallies.
-    #[must_use = "the drain summaries report what each shard did"]
-    pub fn shutdown(mut self) -> Vec<ServeStats> {
-        self.supervisor_stop.store(true, Ordering::Release);
-        if let Some(handle) = self.supervisor_thread.take() {
-            let _ = handle.join();
-        }
-        self.shards.iter().map(|s| s.shutdown_ref()).collect()
-    }
-}
-
-impl std::fmt::Debug for ShardedService {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedService")
-            .field("shards", &self.shards.len())
-            .field("healths", &self.healths())
-            .field("stats", &self.stats())
-            .finish()
-    }
-}
-
-/// The wall-clock supervisor loop behind a [`ShardedService`]: polls
-/// shard health, schedules restarts with the same exponential backoff
-/// the deterministic supervisor uses, and revives dead shards.
-fn spawn_service_supervisor(
-    shards: Vec<Arc<ServeService>>,
-    config: SupervisorConfig,
-    stop: Arc<AtomicBool>,
-) -> std::thread::JoinHandle<()> {
-    std::thread::Builder::new()
-        .name("canti-serve-supervisor".into())
-        .spawn(move || {
-            let mut failures = vec![0u32; shards.len()];
-            let mut due: Vec<Option<Instant>> = vec![None; shards.len()];
-            while !stop.load(Ordering::Acquire) {
-                for (shard, svc) in shards.iter().enumerate() {
-                    if !svc.is_down() {
-                        due[shard] = None;
-                        continue;
-                    }
-                    match due[shard] {
-                        None => {
-                            failures[shard] += 1;
-                            let shift = (failures[shard] - 1).min(config.backoff_max_shift);
-                            let delay_ns = config.backoff_base_ns.saturating_mul(1u64 << shift);
-                            due[shard] = Some(Instant::now() + Duration::from_nanos(delay_ns));
-                        }
-                        Some(t) if Instant::now() >= t => {
-                            if svc.revive() {
-                                due[shard] = None;
-                            }
-                        }
-                        Some(_) => {}
-                    }
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        })
-        .expect("spawn canti-serve-supervisor")
-}
-
-fn sum_cache_stats(
+/// Merges per-shard result-cache counters (`None` when caching is off).
+pub(crate) fn sum_cache_stats(
     stats: impl Iterator<Item = Option<crate::cache::CacheStats>>,
 ) -> Option<crate::cache::CacheStats> {
     stats.fold(None, |acc, s| match (acc, s) {
@@ -898,7 +194,8 @@ fn sum_cache_stats(
     })
 }
 
-fn sum_stats(stats: impl Iterator<Item = ServeStats>) -> ServeStats {
+/// Sums per-shard tallies.
+pub(crate) fn sum_stats(stats: impl Iterator<Item = ServeStats>) -> ServeStats {
     stats.fold(ServeStats::default(), |mut acc, s| {
         acc.admitted += s.admitted;
         acc.rejected += s.rejected;
@@ -916,8 +213,10 @@ fn sum_stats(stats: impl Iterator<Item = ServeStats>) -> ServeStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use canti_farm::ProbeMode;
-    use canti_obs::VirtualClock;
+    use crate::{RejectReason, ServeEngine};
+    use canti_farm::{JobSpec, ProbeMode};
+    use canti_obs::{ObsClock, VirtualClock};
+    use std::sync::Arc;
 
     fn probe(v: f64) -> JobSpec {
         JobSpec::Probe(ProbeMode::Value(v))
@@ -1009,29 +308,23 @@ mod tests {
     }
 
     #[test]
-    fn shard_health_labels_and_encoding_round_trip() {
+    fn shard_health_labels_and_liveness() {
         for h in [
             ShardHealth::Healthy,
             ShardHealth::Degraded,
             ShardHealth::Down,
             ShardHealth::Recovering,
         ] {
-            assert_eq!(ShardHealth::from_u8(h.as_u8()), h);
             assert!(!h.label().is_empty());
         }
         assert!(ShardHealth::Recovering.is_live());
         assert!(!ShardHealth::Down.is_live());
-        assert_eq!(
-            ShardHealth::from_u8(250),
-            ShardHealth::Down,
-            "unknown → Down"
-        );
     }
 
     #[test]
     fn sharded_engine_routes_and_globalizes_ids() {
         let clock = Arc::new(VirtualClock::new());
-        let mut e = ShardedEngine::new(
+        let mut e = ServeEngine::sharded(
             ShardedConfig {
                 shards: 4,
                 base: ServeConfig {
@@ -1076,7 +369,7 @@ mod tests {
         let clock = Arc::new(VirtualClock::new());
         // capacity 1, linger unreachable: the second submission to any
         // one shard must be rejected
-        let mut e = ShardedEngine::new(
+        let mut e = ServeEngine::sharded(
             ShardedConfig {
                 shards: 1,
                 base: ServeConfig {
@@ -1099,32 +392,5 @@ mod tests {
         // the id after a rejection continues the dense stream
         assert_eq!(e.stats().admitted, 1);
         assert_eq!(e.stats().rejected, 1);
-    }
-
-    #[test]
-    fn sharded_service_round_trips_with_global_ids() {
-        let service = ShardedService::start(ShardedConfig {
-            shards: 3,
-            base: ServeConfig {
-                max_batch: 2,
-                linger_ns: 1_000, // 1 µs: lone requests fire quickly
-                threads: 1,
-                ..ServeConfig::default()
-            },
-        });
-        let tickets: Vec<ShardTicket> = (0..9)
-            .map(|i| service.submit(probe(f64::from(i))).expect("admitted"))
-            .collect();
-        for (i, t) in tickets.into_iter().enumerate() {
-            assert_eq!(t.id(), i as u64);
-            assert_eq!(t.shard(), route_request(i as u64, 3));
-            let r = t.wait();
-            assert_eq!(r.request_id, i as u64, "ticket rewrites to global id");
-            assert!(r.disposition.is_ok(), "request {i}: {r}");
-        }
-        assert_eq!(service.healths(), vec![ShardHealth::Healthy; 3]);
-        let per_shard = service.shutdown();
-        assert_eq!(per_shard.len(), 3);
-        assert_eq!(per_shard.iter().map(|s| s.completed).sum::<u64>(), 9);
     }
 }

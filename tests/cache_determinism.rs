@@ -30,8 +30,7 @@ use canti::fault::ServeFaultPlan;
 use canti::obs::{ObsClock, VirtualClock};
 use canti::serve::{
     canonical_job_line, job_key, BatchRecord, CacheConfig, CacheStats, Disposition, RejectReason,
-    ReportCache, ServeConfig, ServeEngine, ServeResponse, ShardedConfig, ShardedEngine,
-    SupervisorConfig,
+    ReportCache, ServeConfig, ServeEngine, ServeResponse, ShardedConfig, SupervisorConfig,
 };
 use canti::units::{Molar, Seconds};
 use proptest::prelude::*;
@@ -153,7 +152,7 @@ fn coalesced_fanout_answers_every_ticket_exactly_once() {
         );
     }
 
-    let batches: Vec<BatchRecord> = engine.batch_log().to_vec();
+    let batches: Vec<BatchRecord> = engine.batch_log(0).to_vec();
     assert_eq!(batches.len(), 1, "one farm job for six tickets");
     assert_eq!(batches[0].request_ids.len(), 1);
     let stats = engine.stats();
@@ -176,7 +175,7 @@ struct EvictionTrace {
 /// insertion order, decides the victims.
 fn eviction_run(workers: usize, shards: usize) -> EvictionTrace {
     let clock = Arc::new(VirtualClock::new());
-    let mut engine = ShardedEngine::new(
+    let mut engine = ServeEngine::sharded(
         ShardedConfig {
             shards,
             base: config(workers, 2),
@@ -266,7 +265,7 @@ struct CacheChaosTrace {
 /// victim is down (hits + failover) → restart → post-restart burst.
 fn chaos_cache_run(workers: usize, plan: Option<&ServeFaultPlan>) -> CacheChaosTrace {
     let clock = Arc::new(VirtualClock::new());
-    let mut engine = ShardedEngine::new(
+    let mut engine = ServeEngine::sharded(
         ShardedConfig {
             shards: 2,
             base: config(workers, 8),

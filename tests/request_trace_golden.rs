@@ -66,8 +66,12 @@ fn scripted_observed_run(threads: usize) -> Scripted {
     responses.extend(engine.pump());
     responses.extend(engine.drain());
 
-    let slo = engine.slo().expect("observed engine tracks slo");
-    let log = engine.request_log().expect("observed engine keeps a log");
+    let slo = engine.slos()[0]
+        .clone()
+        .expect("observed engine tracks slo");
+    let log = engine.request_logs()[0]
+        .clone()
+        .expect("observed engine keeps a log");
     let debug = DebugState {
         slos: vec![("0".to_owned(), slo)],
         requests: vec![("0".to_owned(), log)],

@@ -95,7 +95,7 @@ fn scripted_run(threads: usize) -> RunTrace {
         .admissions
         .push(engine.submit(JobSpec::Probe(ProbeMode::Value(1.0))));
 
-    trace.batches = engine.batch_log().to_vec();
+    trace.batches = engine.batch_log(0).to_vec();
     trace.stats = engine.stats();
     trace
 }
@@ -237,7 +237,7 @@ fn batch_seed_feeds_the_farm_but_not_the_shape() {
             engine.submit(JobSpec::Probe(ProbeMode::Draws(d))).unwrap();
         }
         let responses = engine.pump();
-        (engine.batch_log().to_vec(), responses)
+        (engine.batch_log(0).to_vec(), responses)
     };
     let (shape_a, payload_a) = run(1);
     let (shape_b, payload_b) = run(2);

@@ -32,7 +32,7 @@ use canti::fault::ServeFaultPlan;
 use canti::obs::{ObsClock, VirtualClock};
 use canti::serve::{
     route_failover, route_request, BatchRecord, Disposition, RejectReason, ServeConfig,
-    ServeResponse, ServeStats, ShardHealth, ShardedConfig, ShardedEngine, ShardedService,
+    ServeEngine, ServeResponse, ServeStats, ShardHealth, ShardedConfig, ShardedService,
     SupervisorConfig,
 };
 
@@ -88,7 +88,7 @@ struct ChaosTrace {
 /// re-admission, all on the virtual clock.
 fn chaos_run(workers: usize, shards: usize, plan: Option<&ServeFaultPlan>) -> ChaosTrace {
     let clock = Arc::new(VirtualClock::new());
-    let mut engine = ShardedEngine::new(
+    let mut engine = ServeEngine::sharded(
         ShardedConfig {
             shards,
             base: config(workers),
@@ -109,7 +109,7 @@ fn chaos_run(workers: usize, shards: usize, plan: Option<&ServeFaultPlan>) -> Ch
         failovers: 0,
         restarts: 0,
     };
-    let submit = |engine: &mut ShardedEngine, trace: &mut ChaosTrace, n: u64| {
+    let submit = |engine: &mut ServeEngine, trace: &mut ChaosTrace, n: u64| {
         let base = trace.admissions.len() as u64;
         for i in 0..n {
             trace.admissions.push(engine.submit(probe(base + i)));

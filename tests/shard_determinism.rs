@@ -22,7 +22,7 @@ use canti::farm::{dose_response_sweep, process_variation_batch, JobOutput, JobSp
 use canti::obs::{ObsClock, VirtualClock};
 use canti::serve::{
     route_request, BatchRecord, BatchTrigger, Disposition, RejectReason, ServeConfig, ServeEngine,
-    ServeResponse, ServeStats, ShardedConfig, ShardedEngine,
+    ServeResponse, ServeStats, ShardedConfig,
 };
 
 const WORKER_GRID: [usize; 3] = [1, 2, 8];
@@ -114,7 +114,7 @@ struct ShardTrace {
 
 fn sharded_run(workers: usize, shards: usize) -> ShardTrace {
     let clock = Arc::new(VirtualClock::new());
-    let mut engine = ShardedEngine::new(
+    let mut engine = ServeEngine::sharded(
         ShardedConfig {
             shards,
             base: config(workers),
@@ -176,7 +176,7 @@ fn plain_run(workers: usize) -> PlainTrace {
             Step::Drain => trace.responses.extend(engine.drain()),
         }
     }
-    trace.batches = engine.batch_log().to_vec();
+    trace.batches = engine.batch_log(0).to_vec();
     trace.stats = engine.stats();
     trace
 }

@@ -30,8 +30,8 @@ use canti::obs::{
     SeriesKind, SeriesPoint, SeriesWindows, TimelineConfig, Tracer, VirtualClock,
 };
 use canti::serve::{
-    route_request, Disposition, RejectReason, ServeConfig, ServeResponse, ShardedConfig,
-    ShardedEngine,
+    route_request, Disposition, RejectReason, ServeConfig, ServeEngine, ServeResponse,
+    ShardedConfig,
 };
 use canti_obsctl::{timeline_report, TimelineOptions};
 
@@ -156,7 +156,7 @@ fn observed_run(workers: usize, shards: usize) -> ObservedRun {
         flights.push(flight);
         rings.push(ring);
     }
-    let mut engine = ShardedEngine::new(
+    let mut engine = ServeEngine::sharded(
         ShardedConfig {
             shards,
             base: config(workers),
