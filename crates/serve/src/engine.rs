@@ -839,6 +839,15 @@ impl ShardCore {
         }
     }
 
+    /// Time until this shard's queue can change on its own — the
+    /// oldest request's linger or the earliest deadline coming due.
+    /// `None` while the queue is empty.
+    pub(crate) fn next_wakeup_in(&self) -> Option<std::time::Duration> {
+        let due = self.front.queue.next_wakeup_ns()?;
+        let now = self.front.clock.now_ns();
+        Some(std::time::Duration::from_nanos(due.saturating_sub(now)))
+    }
+
     pub(crate) fn stats(&self) -> ServeStats {
         self.front.stats
     }

@@ -45,8 +45,9 @@ use crate::response::ServeResponse;
 use crate::shard::{sum_cache_stats, sum_stats, ShardHealth, ShardedConfig};
 use crate::supervisor::SupervisorConfig;
 
-/// How long a batcher sleeps when nothing can change without a new
-/// submission (a submission wakes it immediately).
+/// The longest a batcher sleeps: with an empty queue nothing can change
+/// without a new submission, which wakes it immediately; with requests
+/// queued it sleeps only until the next linger or deadline comes due.
 const IDLE_WAIT: Duration = Duration::from_millis(50);
 
 /// Where one request's response lands.
@@ -451,7 +452,10 @@ fn run_batcher(shared: &Shared, shard: usize) {
         if shared.stop.load(Ordering::SeqCst) {
             break;
         }
-        let _unused = shared.shards[shard].wake.wait_timeout(core, IDLE_WAIT);
+        let wait = core
+            .next_wakeup_in()
+            .map_or(IDLE_WAIT, |d| d.min(IDLE_WAIT));
+        let _unused = shared.shards[shard].wake.wait_timeout(core, wait);
     }
     let _ = pass(&mut host, true);
 }
@@ -526,6 +530,30 @@ mod tests {
         let stats = service.shutdown()[0];
         assert_eq!(stats.completed, 4);
         assert_eq!(stats.batches, 1);
+    }
+
+    #[test]
+    fn a_lone_request_waits_out_its_linger_not_the_idle_wait() {
+        let service = ShardedService::start(one(ServeConfig {
+            max_batch: 16,
+            linger_ns: 200_000, // 0.2 ms
+            threads: 1,
+            ..ServeConfig::default()
+        }));
+        let fastest = (0..5)
+            .map(|i| {
+                let t0 = std::time::Instant::now();
+                let ticket = service.submit(probe(f64::from(i))).expect("admitted");
+                assert!(ticket.wait().disposition.is_ok());
+                t0.elapsed()
+            })
+            .min()
+            .expect("five requests");
+        assert!(
+            fastest < IDLE_WAIT / 5,
+            "the fastest lone request took {fastest:?}: the batcher slept past its linger"
+        );
+        let _ = service.shutdown();
     }
 
     #[test]
