@@ -79,7 +79,7 @@ impl ShardRecord {
 
 /// The deterministic shard health supervisor.
 ///
-/// The caller (the sharded engine or service) notifies it of failures,
+/// The caller (the serve router, under either driver) notifies it of failures,
 /// restarts and clean batches; the supervisor answers health queries
 /// and restart-due checks. See the module docs for the state machine.
 #[derive(Debug, Clone)]
@@ -202,13 +202,14 @@ impl ShardSupervisor {
     }
 
     /// The deterministic restart delay for a shard's `n`-th consecutive
-    /// failure (`n ≥ 1`).
+    /// failure (`n ≥ 1`), saturating at `u64::MAX`.
     #[must_use]
     pub fn backoff_ns(&self, failures: u32) -> u64 {
         let shift = failures
             .saturating_sub(1)
             .min(self.config.backoff_max_shift);
-        self.config.backoff_base_ns.saturating_mul(1u64 << shift)
+        let factor = 1u64.checked_shl(shift).unwrap_or(u64::MAX);
+        self.config.backoff_base_ns.saturating_mul(factor)
     }
 }
 
@@ -258,6 +259,19 @@ mod tests {
         );
         let delays: Vec<u64> = (1..=6).map(|n| s.backoff_ns(n)).collect();
         assert_eq!(delays, vec![100, 200, 400, 800, 800, 800]);
+        // an uncapped streak past 64 failures saturates instead of
+        // overflowing the shift
+        let uncapped = ShardSupervisor::new(
+            SupervisorConfig {
+                backoff_base_ns: 100,
+                backoff_max_shift: u32::MAX,
+                probation_batches: 1,
+            },
+            1,
+        );
+        assert_eq!(uncapped.backoff_ns(64), u64::MAX);
+        assert_eq!(uncapped.backoff_ns(65), u64::MAX);
+        assert_eq!(uncapped.backoff_ns(u32::MAX), u64::MAX);
     }
 
     #[test]
