@@ -766,6 +766,27 @@ mod tests {
     }
 
     #[test]
+    fn a_revived_shard_serves_its_probation_before_it_is_healthy() {
+        let service = killed_and_revived(SupervisorConfig {
+            backoff_base_ns: 20_000_000, // 20 ms
+            backoff_max_shift: 6,
+            probation_batches: 3,
+        });
+        // max_batch 1 and sequential waits: one clean batch per request.
+        // The first moves Recovering → Degraded; probation is the next 3.
+        let ladder: Vec<ShardHealth> = (0..4)
+            .map(|i| {
+                let ticket = service.submit(probe(f64::from(i))).expect("admitted");
+                assert!(ticket.wait().disposition.is_ok());
+                service.healths()[0]
+            })
+            .collect();
+        use ShardHealth::{Degraded, Healthy};
+        assert_eq!(ladder, [Degraded, Degraded, Degraded, Healthy]);
+        let _ = service.shutdown();
+    }
+
+    #[test]
     fn sharded_service_round_trips_with_global_ids() {
         let service = ShardedService::start(ShardedConfig {
             shards: 3,
