@@ -156,8 +156,8 @@ impl Front {
         let kind = job.kind();
         // Content-addressed fast path: a cached answer satisfies any
         // deadline, so the lookup precedes the feasibility check and the
-        // capacity gate (a hit occupies no queue slot). Failed/draining
-        // still refuse first, inside allocate_cached.
+        // capacity gate (a hit occupies no queue slot). A failed or
+        // draining shard skips the lookup and refuses below.
         let open = !self.queue.is_failed() && !self.queue.is_draining();
         if let Some(cache) = self.cache.as_ref().filter(|_| open) {
             let hit = cache
@@ -166,9 +166,6 @@ impl Front {
                 .lookup(crate::cache::job_key(&job));
             match hit {
                 Some(output) => {
-                    self.queue
-                        .allocate_cached()
-                        .expect("failed/draining gated above");
                     self.complete_hit(key, kind, output, now_ns);
                     return Ok(());
                 }
@@ -569,7 +566,7 @@ impl Front {
             index: batch.index,
             trigger: batch.trigger,
             seed: batch.seed,
-            request_ids: batch.items.iter().map(|p| p.key).collect(),
+            request_ids: batch.request_ids(),
         });
     }
 

@@ -109,9 +109,7 @@ impl BatchTrigger {
 /// answer fans out to it when the batch completes.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Follower {
-    /// Admission-ordered request id (shares the leader's id space).
-    pub id: u64,
-    /// The request key telemetry reports (global id under sharding).
+    /// The request's id (see [`Pending::key`]).
     pub key: u64,
     /// The request-scoped trace id over `key`.
     pub trace: u64,
@@ -128,18 +126,18 @@ pub(crate) enum Admitted {
     Queued(u64),
     /// Coalesced onto the queued leader with the same content hash.
     Coalesced {
-        /// The id handed to this submission.
-        id: u64,
+        /// The request's id.
+        key: u64,
         /// The leader request it rides on.
         leader: u64,
     },
 }
 
 impl Admitted {
-    /// The id handed out either way.
-    pub(crate) fn id(&self) -> u64 {
+    /// The request's id either way.
+    pub(crate) fn key(&self) -> u64 {
         match *self {
-            Self::Queued(id) | Self::Coalesced { id, .. } => id,
+            Self::Queued(key) | Self::Coalesced { key, .. } => key,
         }
     }
 }
@@ -147,8 +145,6 @@ impl Admitted {
 /// One admitted request waiting for (or riding in) a batch.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Pending {
-    /// Admission-ordered request id, unique per queue.
-    pub id: u64,
     /// The simulation to run.
     pub job: JobSpec,
     /// The seed this request's farm RNG stream derives from:
@@ -161,9 +157,10 @@ pub(crate) struct Pending {
     /// same key the seed derives from, so every span the request touches
     /// carries one stable id at any worker or shard count.
     pub trace: u64,
-    /// The request key the seed and trace derive from: the **global**
-    /// id under a sharded front, the local id otherwise. Telemetry and
-    /// debug records report this id, never the local one.
+    /// The request's id, which the seed and trace derive from: the
+    /// **global** id the engine assigned, or the queue's own
+    /// admission-ordered id for an unkeyed submission. Unique per queue;
+    /// responses, batch logs and telemetry all report it.
     pub key: u64,
     /// Clock reading at admission.
     pub enqueued_ns: u64,
@@ -215,7 +212,7 @@ impl FormedBatch {
     /// The member request ids, in admission order.
     #[must_use]
     pub fn request_ids(&self) -> Vec<u64> {
-        self.items.iter().map(|p| p.id).collect()
+        self.items.iter().map(|p| p.key).collect()
     }
 }
 
@@ -230,7 +227,7 @@ impl FormedBatch {
 pub struct AdmissionQueue {
     config: ServeConfig,
     queue: VecDeque<Pending>,
-    /// Content hash → queued leader id, maintained only when the config
+    /// Content hash → queued leader key, maintained only when the config
     /// enables the result cache. A deadline-free default-priority
     /// submission whose hash is in here coalesces onto that leader
     /// instead of occupying a queue slot.
@@ -315,7 +312,7 @@ impl AdmissionQueue {
         deadline_ns: Option<u64>,
     ) -> Result<u64, RejectReason> {
         self.submit_prioritized(now_ns, job, deadline_ns, None, 0)
-            .map(|a| a.id())
+            .map(|a| a.key())
     }
 
     /// [`Self::submit`] with an explicit seed key and brownout priority
@@ -354,17 +351,15 @@ impl AdmissionQueue {
         if coalescable {
             if let Some(k) = job_key {
                 if let Some(&leader) = self.inflight.get(&k) {
-                    if let Some(p) = self.queue.iter_mut().find(|p| p.id == leader) {
-                        let id = self.next_id;
+                    if let Some(p) = self.queue.iter_mut().find(|p| p.key == leader) {
+                        let key = key.unwrap_or(self.next_id);
                         self.next_id += 1;
-                        let key = key.unwrap_or(id);
                         p.followers.push(Follower {
-                            id,
                             key,
                             trace: canti_obs::trace_id(key),
                             enqueued_ns: now_ns,
                         });
-                        return Ok(Admitted::Coalesced { id, leader });
+                        return Ok(Admitted::Coalesced { key, leader });
                     }
                 }
             }
@@ -373,12 +368,11 @@ impl AdmissionQueue {
         if self.queue.len() >= capacity {
             return Err(RejectReason::QueueFull { capacity });
         }
-        let id = self.next_id;
+        let key = key.unwrap_or(self.next_id);
         self.next_id += 1;
         let deadline = deadline_ns
             .or(self.config.default_deadline_ns)
             .map(|d| now_ns.saturating_add(d));
-        let key = key.unwrap_or(id);
         let seed = match job_key {
             // content-derived: identical specs → identical payload bits
             Some(k) => crate::shard::request_seed(self.config.batch_seed, k.fold()),
@@ -386,10 +380,9 @@ impl AdmissionQueue {
         };
         if let Some(k) = job_key {
             // the newest queued instance is the coalesce target
-            self.inflight.insert(k, id);
+            self.inflight.insert(k, key);
         }
         self.queue.push_back(Pending {
-            id,
             job,
             seed,
             trace: canti_obs::trace_id(key),
@@ -400,28 +393,7 @@ impl AdmissionQueue {
             job_key,
             followers: Vec::new(),
         });
-        Ok(Admitted::Queued(id))
-    }
-
-    /// Allocates an id for a request answered straight from the result
-    /// cache: it never occupies a queue slot, but burns an id so the
-    /// admission-ordered id stream stays dense (the sharded front's
-    /// local→global mapping depends on that).
-    ///
-    /// # Errors
-    ///
-    /// The same failed/draining gates as [`Self::submit`] — a down or
-    /// draining shard refuses cached answers too.
-    pub(crate) fn allocate_cached(&mut self) -> Result<u64, RejectReason> {
-        if self.failed {
-            return Err(RejectReason::ShardFailed);
-        }
-        if self.draining {
-            return Err(RejectReason::Draining);
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        Ok(id)
+        Ok(Admitted::Queued(key))
     }
 
     /// Removes and returns every queued request whose deadline has
@@ -441,7 +413,7 @@ impl AdmissionQueue {
                 gone.followers = Vec::new();
                 if p.followers.is_empty() {
                     if let Some(k) = p.job_key {
-                        if inflight.get(&k) == Some(&p.id) {
+                        if inflight.get(&k) == Some(&p.key) {
                             inflight.remove(&k);
                         }
                     }
@@ -449,7 +421,6 @@ impl AdmissionQueue {
                     false
                 } else {
                     let f = p.followers.remove(0);
-                    p.id = f.id;
                     p.key = f.key;
                     p.trace = f.trace;
                     p.enqueued_ns = f.enqueued_ns;
@@ -458,8 +429,8 @@ impl AdmissionQueue {
                     p.deadline_ns = None;
                     p.priority = 0;
                     if let Some(k) = p.job_key {
-                        if inflight.get(&k) == Some(&gone.id) {
-                            inflight.insert(k, p.id);
+                        if inflight.get(&k) == Some(&gone.key) {
+                            inflight.insert(k, p.key);
                         }
                     }
                     expired.push(gone);
@@ -491,7 +462,7 @@ impl AdmissionQueue {
                 .expect("a min-priority element exists");
             let victim = self.queue.remove(victim).expect("victim index in range");
             if let Some(k) = victim.job_key {
-                if self.inflight.get(&k) == Some(&victim.id) {
+                if self.inflight.get(&k) == Some(&victim.key) {
                     self.inflight.remove(&k);
                 }
             }
@@ -568,7 +539,7 @@ impl AdmissionQueue {
         // result cache once this batch lands (or queue a fresh leader)
         for p in &items {
             if let Some(k) = p.job_key {
-                if self.inflight.get(&k) == Some(&p.id) {
+                if self.inflight.get(&k) == Some(&p.key) {
                     self.inflight.remove(&k);
                 }
             }
@@ -650,7 +621,7 @@ mod tests {
         assert!(q.take_expired(99).is_empty());
         let gone = q.take_expired(100);
         assert_eq!(gone.len(), 1);
-        assert_eq!(gone[0].id, 0);
+        assert_eq!(gone[0].key, 0);
         assert_eq!(gone[0].deadline_ns, Some(100));
         assert_eq!(q.depth(), 1, "undeadlined neighbour survives");
     }
@@ -665,7 +636,7 @@ mod tests {
         q.submit(7, probe(2.0), Some(500)).unwrap();
         let gone = q.take_expired(57);
         assert_eq!(gone.len(), 1, "default deadline 7+50 fires");
-        assert_eq!(gone[0].id, 0);
+        assert_eq!(gone[0].key, 0);
     }
 
     #[test]
@@ -751,13 +722,13 @@ mod tests {
         q.submit_prioritized(0, probe(3.0), None, None, 2).unwrap(); // id 3
         let shed = q.take_shed(2);
         assert_eq!(
-            shed.iter().map(|p| p.id).collect::<Vec<_>>(),
+            shed.iter().map(|p| p.key).collect::<Vec<_>>(),
             vec![2, 1],
             "priority-0 victims go newest first"
         );
         assert_eq!(q.depth(), 2);
         assert!(q.take_shed(2).is_empty(), "at the mark, nothing sheds");
-        let survivors: Vec<u64> = q.take_all().iter().map(|p| p.id).collect();
+        let survivors: Vec<u64> = q.take_all().iter().map(|p| p.key).collect();
         assert_eq!(survivors, vec![0, 3], "high-priority requests survive");
     }
 }
