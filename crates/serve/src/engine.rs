@@ -12,6 +12,7 @@
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, PoisonError};
 
 use canti_farm::{FarmObserver, JobSpec};
@@ -633,7 +634,7 @@ pub(crate) struct ShardCore {
     executor: BatchExecutor,
     /// Outstanding tickets by request id. Only the threaded driver opens
     /// tickets; the pumped driver gets every response handed back.
-    tickets: BTreeMap<u64, crate::service::TicketCell>,
+    tickets: BTreeMap<u64, crate::service::Waiter>,
 }
 
 impl ShardCore {
@@ -717,8 +718,8 @@ impl ShardCore {
 
     /// Opens a ticket for admitted request `request` and answers it at
     /// once when the admission was a cache hit.
-    pub(crate) fn open_ticket(&mut self, request: u64) -> Arc<crate::service::Slot> {
-        let (cell, slot) = crate::service::TicketCell::open(self.front.clock.now_ns());
+    pub(crate) fn open_ticket(&mut self, request: u64) -> Receiver<ServeResponse> {
+        let (cell, rx) = crate::service::Waiter::open(self.front.clock.now_ns());
         self.tickets.insert(request, cell);
         let hits = std::mem::take(&mut self.front.hits);
         let unclaimed = self.deliver(hits);
@@ -726,7 +727,7 @@ impl ShardCore {
             unclaimed.is_empty(),
             "every threaded request holds a ticket"
         );
-        slot
+        rx
     }
 
     /// Fulfils the ticket of every response that has one and hands back
@@ -814,7 +815,7 @@ impl ShardCore {
         let known: Vec<(u64, u64)> = self
             .tickets
             .iter()
-            .map(|(&request, cell)| (request, cell.enqueued_ns()))
+            .map(|(&request, cell)| (request, cell.enqueued_ns))
             .collect();
         let inflight = self.front.fail_inflight(&known);
         let _ = self.deliver(inflight);
