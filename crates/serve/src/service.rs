@@ -421,16 +421,7 @@ fn spawn(
 fn run_batcher(shared: &Shared, shard: usize) {
     let mut host = Batcher { shared, shard };
     while !shared.stop.load(Ordering::SeqCst) {
-        let worked =
-            catch_unwind(AssertUnwindSafe(|| pass(&mut host, false).1)).unwrap_or_else(|_| {
-                // safety net for a panic outside batch execution (those
-                // are caught per batch by the core): the shard goes Down
-                // and every outstanding ticket gets a terminal answer
-                host.report(Verdict::Died);
-                host.core(ShardCore::fail_outstanding);
-                true
-            });
-        if worked {
+        if guarded_pass(&mut host, false) {
             continue; // more may already be ready
         }
         let core = shared.core(shard);
@@ -442,7 +433,20 @@ fn run_batcher(shared: &Shared, shard: usize) {
             .map_or(IDLE_WAIT, |d| d.min(IDLE_WAIT));
         let _unused = shared.shards[shard].wake.wait_timeout(core, wait);
     }
-    let _ = pass(&mut host, true);
+    let _ = guarded_pass(&mut host, true);
+}
+
+/// [`pass`] with the batcher's safety net for a panic outside batch
+/// execution (those are caught per batch by the core): the shard goes
+/// Down and every outstanding ticket gets a terminal answer, so the
+/// thread survives and no waiter hangs. Returns whether the pass did
+/// anything.
+fn guarded_pass(host: &mut Batcher<'_>, drain: bool) -> bool {
+    catch_unwind(AssertUnwindSafe(|| pass(host, drain).1)).unwrap_or_else(|_| {
+        host.report(Verdict::Died);
+        host.core(ShardCore::fail_outstanding);
+        true
+    })
 }
 
 /// The supervisor thread: revives every `Down` shard whose backoff has
