@@ -3,8 +3,9 @@
 # the workspace exactly once per profile and reports per-phase wall time.
 #
 #   scripts/ci.sh          # release build -> release tests (reusing the
-#                          # build) -> clippy --all-targets -> fmt --check
-#                          # -> rustdoc with warnings denied
+#                          # build) -> serve tests in debug -> clippy
+#                          # --all-targets -> fmt --check -> rustdoc with
+#                          # warnings denied
 #   scripts/ci.sh smoke    # the above, then:
 #                          #   * the example matrix: every example under
 #                          #     examples/ with fast arguments, failing on
@@ -83,6 +84,16 @@ phase_end
 
 phase_begin "tests (release, reusing the build)"
 cargo test -q --release --workspace
+phase_end
+
+phase_begin "serve tests (debug)"
+# the serve crate and its determinism/golden binaries again in the debug
+# profile, where overflow checks and debug assertions are live (the
+# release run above compiles them out); obs_pipeline stays release-only
+# until its debug flake is fixed
+cargo test -q -p canti-serve
+cargo test -q --test serve_determinism --test shard_determinism --test serve_failover \
+    --test cache_determinism --test timeline_determinism --test request_trace_golden
 phase_end
 
 phase_begin "clippy --all-targets (-D warnings)"
