@@ -1,9 +1,8 @@
 //! The serve core and the pumped driver.
 //!
-//! `Front` (crate-internal) is the lock-scoped admission half of one
-//! shard: the bounded queue, the request spans, the serve tallies and
-//! the batch log. `ShardCore` (crate-internal) joins a `Front` to its
-//! [`BatchExecutor`]; `pass` is the one admit → batch → execute loop
+//! `ShardCore` (crate-internal) is one shard: the bounded queue, the
+//! request spans, the serve tallies, the batch log and its
+//! [`BatchExecutor`]. `pass` is the one admit → batch → execute loop
 //! over it, and `Router` the one placement, failover and supervision
 //! front over N of them. Two drivers run that core: [`ServeEngine`],
 //! pumped by the caller on a given clock (what the scripted determinism
@@ -99,12 +98,16 @@ enum Unserved {
     Abandoned(RejectReason),
 }
 
-/// The lock-scoped half of one shard: admission, expiry, batch
-/// formation, spans and tallies. No execution happens here — formed
-/// batches are handed out for the caller to run, so the threaded
-/// driver can execute them outside the shard's lock.
+/// One shard of the serving layer: admission, expiry, batch formation,
+/// request spans and tallies, the [`BatchExecutor`] that runs formed
+/// batches, and — in the threaded driver — the tickets of the requests
+/// it still owes an answer. Both drivers run their shards through this
+/// one core; a single-shard engine is just the plain case. Formed
+/// batches execute with the core released (see [`pass`]), so the
+/// threaded driver keeps admitting while a batch computes.
 #[derive(Debug)]
-pub(crate) struct Front {
+pub(crate) struct ShardCore {
+    index: usize,
     queue: AdmissionQueue,
     clock: Arc<dyn ObsClock>,
     observer: Option<FarmObserver>,
@@ -113,23 +116,31 @@ pub(crate) struct Front {
     stats: ServeStats,
     batch_log: Vec<BatchRecord>,
     /// The shard's content-addressed result cache, shared with the
-    /// executor. `None` with caching off.
+    /// executor (lookups here, inserts there). `None` with caching off.
     cache: Option<Arc<std::sync::Mutex<crate::cache::ReportCache>>>,
     /// Responses for requests answered from the cache at admission,
     /// buffered until the core delivers them (immediately after admit
     /// in the threaded driver; at the next pump in the engine). Every
     /// one is terminal and already fully accounted.
     hits: Vec<ServeResponse>,
+    executor: BatchExecutor,
+    /// Outstanding tickets by request id. Only the threaded driver opens
+    /// tickets; the pumped driver gets every response handed back.
+    tickets: BTreeMap<u64, crate::service::Waiter>,
 }
 
-impl Front {
-    /// `cache` must be the handle the executor inserts into.
-    fn new(
-        config: ServeConfig,
-        clock: Arc<dyn ObsClock>,
-        cache: Option<Arc<std::sync::Mutex<crate::cache::ReportCache>>>,
-    ) -> Self {
+impl ShardCore {
+    /// Shard `index` under `config`, timing everything on `clock`.
+    pub(crate) fn new(index: usize, config: ServeConfig, clock: Arc<dyn ObsClock>) -> Self {
+        let cache = config
+            .cache
+            .map(|c| Arc::new(std::sync::Mutex::new(crate::cache::ReportCache::new(c))));
+        let mut executor = BatchExecutor::new(config.threads, Arc::clone(&clock));
+        if let Some(c) = &cache {
+            executor = executor.with_report_cache(Arc::clone(c));
+        }
         Self {
+            index,
             queue: AdmissionQueue::new(config),
             clock,
             observer: None,
@@ -139,6 +150,8 @@ impl Front {
             batch_log: Vec::new(),
             cache,
             hits: Vec::new(),
+            executor,
+            tickets: BTreeMap::new(),
         }
     }
 
@@ -146,7 +159,7 @@ impl Front {
     /// assigned) with a deadline relative to now, falling back to the
     /// config default, or rejects it — keeping tallies, the queue-depth
     /// gauge, the request span and the admission/rejection events.
-    pub(crate) fn admit(
+    fn enqueue(
         &mut self,
         job: JobSpec,
         deadline_ns: Option<u64>,
@@ -401,11 +414,6 @@ impl Front {
             .collect()
     }
 
-    /// Clears the failed mark after a restart.
-    pub(crate) fn mark_recovered(&mut self) {
-        self.queue.restore();
-    }
-
     /// [`Self::abandon`] for a leader and every follower riding on it.
     fn abandon_all(
         &mut self,
@@ -623,50 +631,18 @@ impl Executed {
     }
 }
 
-/// One shard of the serving layer: its admission [`Front`], its
-/// [`BatchExecutor`] and — in the threaded driver — the tickets of the
-/// requests it still owes an answer. Both drivers run their shards
-/// through this one core; a single-shard engine is just the plain case.
-#[derive(Debug)]
-pub(crate) struct ShardCore {
-    index: usize,
-    front: Front,
-    executor: BatchExecutor,
-    /// Outstanding tickets by request id. Only the threaded driver opens
-    /// tickets; the pumped driver gets every response handed back.
-    tickets: BTreeMap<u64, crate::service::Waiter>,
-}
-
 impl ShardCore {
-    /// Shard `index` under `config`, timing everything on `clock`, with
-    /// one result cache shared by front (lookups) and executor (inserts).
-    pub(crate) fn new(index: usize, config: ServeConfig, clock: Arc<dyn ObsClock>) -> Self {
-        let cache = config
-            .cache
-            .map(|c| Arc::new(std::sync::Mutex::new(crate::cache::ReportCache::new(c))));
-        let mut executor = BatchExecutor::new(config.threads, Arc::clone(&clock));
-        if let Some(c) = &cache {
-            executor = executor.with_report_cache(Arc::clone(c));
-        }
-        Self {
-            index,
-            front: Front::new(config, clock, cache),
-            executor,
-            tickets: BTreeMap::new(),
-        }
-    }
-
     /// Attaches a farm observer: serve counters/histograms, request and
     /// batch spans, SLO windows, the request log and the farm's own
-    /// telemetry all record into it. Front and executor share ONE
+    /// telemetry all record into it. Admission and executor share ONE
     /// instrument set, so SLO windows and the request log see both
     /// halves of every request.
     pub(crate) fn observe(&mut self, observer: FarmObserver) {
-        let config = self.front.queue.config();
+        let config = self.queue.config();
         let instruments =
             crate::exec::ServeInstruments::new(&observer, config.slo, config.timeline);
-        self.front.observer = Some(observer.clone());
-        self.front.instruments = Some(instruments.clone());
+        self.observer = Some(observer.clone());
+        self.instruments = Some(instruments.clone());
         self.executor = self
             .executor
             .clone()
@@ -697,9 +673,9 @@ impl ShardCore {
         request: u64,
         from: Option<usize>,
     ) -> Result<(), RejectReason> {
-        self.front.admit(job, deadline_ns, request, priority)?;
+        self.enqueue(job, deadline_ns, request, priority)?;
         if let Some(from) = from {
-            if let Some(ins) = &self.front.instruments {
+            if let Some(ins) = &self.instruments {
                 ins.failovers.inc();
             }
             if let Some(o) = self.executor.observer() {
@@ -719,9 +695,9 @@ impl ShardCore {
     /// Opens a ticket for admitted request `request` and answers it at
     /// once when the admission was a cache hit.
     pub(crate) fn open_ticket(&mut self, request: u64) -> Receiver<ServeResponse> {
-        let (cell, rx) = crate::service::Waiter::open(self.front.clock.now_ns());
+        let (cell, rx) = crate::service::Waiter::open(self.clock.now_ns());
         self.tickets.insert(request, cell);
-        let hits = std::mem::take(&mut self.front.hits);
+        let hits = std::mem::take(&mut self.hits);
         let unclaimed = self.deliver(hits);
         debug_assert!(
             unclaimed.is_empty(),
@@ -753,19 +729,19 @@ impl ShardCore {
     /// draining, admission stopped and the whole queue released. A dead
     /// shard answered everything when it died, so it opens nothing.
     fn open(&mut self, drain: bool) -> (Vec<ServeResponse>, Vec<FormedBatch>) {
-        if self.front.queue.is_failed() {
+        if self.queue.is_failed() {
             if drain {
-                self.front.queue.begin_drain();
+                self.queue.begin_drain();
             }
             return (Vec::new(), Vec::new());
         }
-        let mut ready = std::mem::take(&mut self.front.hits);
-        ready.extend(self.front.take_expired());
+        let mut ready = std::mem::take(&mut self.hits);
+        ready.extend(self.take_expired());
         if drain {
-            return (ready, self.front.begin_drain());
+            return (ready, self.begin_drain());
         }
-        ready.extend(self.front.take_shed());
-        (ready, self.front.form_ready())
+        ready.extend(self.take_shed());
+        (ready, self.form_ready())
     }
 
     /// Lands one executed batch — the one executor-panic path. A clean
@@ -781,7 +757,7 @@ impl ShardCore {
     ) -> Vec<ServeResponse> {
         match executed.result {
             Ok(responses) => {
-                self.front.finish(&responses);
+                self.finish(&responses);
                 responses
             }
             Err(_) => {
@@ -792,15 +768,15 @@ impl ShardCore {
                 let mut out: Vec<ServeResponse> = executed
                     .members
                     .iter()
-                    .flat_map(|p| self.front.fail_pending(p))
+                    .flat_map(|p| self.fail_pending(p))
                     .collect();
                 for batch in stranded {
                     for p in &batch.items {
-                        out.extend(self.front.fail_pending(p));
+                        out.extend(self.fail_pending(p));
                     }
                 }
-                out.extend(self.front.fail_queued());
-                self.front.stats.batches = self.front.queue.batches_formed();
+                out.extend(self.fail_queued());
+                self.stats.batches = self.queue.batches_formed();
                 out
             }
         }
@@ -810,14 +786,14 @@ impl ShardCore {
     /// and marks the shard failed: the threaded batcher's safety net for
     /// a panic outside batch execution.
     pub(crate) fn fail_outstanding(&mut self) {
-        let queued = self.front.fail_queued();
+        let queued = self.fail_queued();
         let _ = self.deliver(queued);
         let known: Vec<(u64, u64)> = self
             .tickets
             .iter()
             .map(|(&request, cell)| (request, cell.enqueued_ns))
             .collect();
-        let inflight = self.front.fail_inflight(&known);
+        let inflight = self.fail_inflight(&known);
         let _ = self.deliver(inflight);
     }
 
@@ -827,7 +803,7 @@ impl ShardCore {
     /// restart included.
     fn revive(&mut self, restarts: u64) {
         self.executor = self.executor.resurrected();
-        self.front.mark_recovered();
+        self.queue.restore();
         if let Some(ins) = self.executor.instruments() {
             ins.shard_restarts.inc();
         }
@@ -841,21 +817,21 @@ impl ShardCore {
     /// oldest request's linger or the earliest deadline coming due.
     /// `None` while the queue is empty.
     pub(crate) fn next_wakeup_in(&self) -> Option<std::time::Duration> {
-        let due = self.front.queue.next_wakeup_ns()?;
-        let now = self.front.clock.now_ns();
+        let due = self.queue.next_wakeup_ns()?;
+        let now = self.clock.now_ns();
         Some(std::time::Duration::from_nanos(due.saturating_sub(now)))
     }
 
     pub(crate) fn stats(&self) -> ServeStats {
-        self.front.stats
+        self.stats
     }
 
     pub(crate) fn depth(&self) -> usize {
-        self.front.queue.depth()
+        self.queue.depth()
     }
 
     pub(crate) fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
-        let cache = self.front.cache.as_ref()?;
+        let cache = self.cache.as_ref()?;
         Some(cache.lock().unwrap_or_else(PoisonError::into_inner).stats())
     }
 
@@ -864,15 +840,15 @@ impl ShardCore {
     }
 
     pub(crate) fn slo(&self) -> Option<Arc<canti_obs::SloTracker>> {
-        Some(Arc::clone(&self.front.instruments.as_ref()?.slo))
+        Some(Arc::clone(&self.instruments.as_ref()?.slo))
     }
 
     pub(crate) fn request_log(&self) -> Option<Arc<canti_obs::RequestLog>> {
-        Some(Arc::clone(&self.front.instruments.as_ref()?.requests))
+        Some(Arc::clone(&self.instruments.as_ref()?.requests))
     }
 
     pub(crate) fn timeline(&self) -> Option<Arc<canti_obs::TimelineRecorder>> {
-        Some(Arc::clone(&self.front.instruments.as_ref()?.timeline))
+        Some(Arc::clone(&self.instruments.as_ref()?.timeline))
     }
 
     pub(crate) fn pool_threads(&self) -> usize {
@@ -1301,7 +1277,7 @@ impl ServeEngine {
     /// Whether the engine has drained and admits nothing new.
     #[must_use]
     pub fn is_draining(&self) -> bool {
-        self.shards.iter().all(|c| c.front.queue.is_draining())
+        self.shards.iter().all(|c| c.queue.is_draining())
     }
 
     /// The earliest future instant at which queued state can change on
@@ -1311,7 +1287,7 @@ impl ServeEngine {
     pub fn next_wakeup_ns(&self) -> Option<u64> {
         self.shards
             .iter()
-            .filter_map(|c| c.front.queue.next_wakeup_ns())
+            .filter_map(|c| c.queue.next_wakeup_ns())
             .min()
     }
 
@@ -1323,7 +1299,7 @@ impl ServeEngine {
     /// Panics when `shard` is out of range.
     #[must_use]
     pub fn batch_log(&self, shard: usize) -> Vec<BatchRecord> {
-        self.shards[shard].front.batch_log.clone()
+        self.shards[shard].batch_log.clone()
     }
 
     fn each<R>(&self, f: impl Fn(&ShardCore) -> R) -> Vec<R> {
