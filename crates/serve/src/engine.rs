@@ -1,10 +1,10 @@
-//! The serve core and the pumped driver.
+//! The serve core and the pumped engine.
 //!
 //! `ShardCore` (crate-internal) is one shard: the bounded queue, the
 //! request spans, the serve tallies, the batch log and its
 //! [`BatchExecutor`]. `pass` is the one admit → batch → execute loop
 //! over it, and `Router` the one placement, failover and supervision
-//! front over N of them. Two drivers run that core: [`ServeEngine`],
+//! front over N of them. Two front ends run that core: [`ServeEngine`],
 //! pumped by the caller on a given clock (what the scripted determinism
 //! tests drive), and [`crate::ShardedService`], one batcher thread per
 //! shard.
@@ -100,11 +100,11 @@ enum Unserved {
 
 /// One shard of the serving layer: admission, expiry, batch formation,
 /// request spans and tallies, the [`BatchExecutor`] that runs formed
-/// batches, and — in the threaded driver — the tickets of the requests
-/// it still owes an answer. Both drivers run their shards through this
+/// batches, and — in the threaded service — the tickets of the requests
+/// it still owes an answer. Both front ends run their shards through this
 /// one core; a single-shard engine is just the plain case. Formed
 /// batches execute with the core released (see [`pass`]), so the
-/// threaded driver keeps admitting while a batch computes.
+/// threaded service keeps admitting while a batch computes.
 #[derive(Debug)]
 pub(crate) struct ShardCore {
     index: usize,
@@ -120,12 +120,12 @@ pub(crate) struct ShardCore {
     cache: Option<Arc<std::sync::Mutex<crate::cache::ReportCache>>>,
     /// Responses for requests answered from the cache at admission,
     /// buffered until the core delivers them (immediately after admit
-    /// in the threaded driver; at the next pump in the engine). Every
+    /// in the threaded service; at the next pump in the engine). Every
     /// one is terminal and already fully accounted.
     hits: Vec<ServeResponse>,
     executor: BatchExecutor,
-    /// Outstanding tickets by request id. Only the threaded driver opens
-    /// tickets; the pumped driver gets every response handed back.
+    /// Outstanding tickets by request id. Only the threaded service
+    /// opens tickets; the pumped engine gets every response handed back.
     tickets: BTreeMap<u64, crate::service::Waiter>,
 }
 
@@ -707,7 +707,7 @@ impl ShardCore {
     }
 
     /// Fulfils the ticket of every response that has one and hands back
-    /// the rest (all of them, in the pumped driver).
+    /// the rest (all of them, in the pumped engine).
     fn deliver(&mut self, responses: Vec<ServeResponse>) -> Vec<ServeResponse> {
         if self.tickets.is_empty() {
             return responses;
@@ -856,17 +856,17 @@ impl ShardCore {
     }
 }
 
-/// How a driver reaches one shard while [`pass`] runs.
+/// How a front end reaches one shard while [`pass`] runs.
 pub(crate) trait Host {
     /// Runs `f` on the shard's core (under the shard's lock, in the
-    /// threaded driver).
+    /// threaded service).
     fn core<R>(&mut self, f: impl FnOnce(&mut ShardCore) -> R) -> R;
     /// Tells the supervisor about a batch. Never called while the core
     /// is held.
     fn report(&mut self, verdict: Verdict);
 }
 
-/// One pass over a shard — the loop both drivers run. The core opens it
+/// One pass over a shard — the loop both front ends run. The core opens it
 /// (hits, expiries, shedding, formation — or the drain flush); each
 /// formed batch then executes with the core released, its verdict goes
 /// to the supervisor — at most one `Clean` per pass, and `Died` — and
@@ -908,7 +908,7 @@ pub(crate) fn pass(host: &mut impl Host, drain: bool) -> (Vec<ServeResponse>, bo
 }
 
 /// Global request ids, placement with failover, and supervision: the
-/// one router both drivers put in front of their shards.
+/// one router both front ends put before their shards.
 #[derive(Debug)]
 pub(crate) struct Router {
     next_id: u64,
@@ -988,7 +988,7 @@ impl Router {
     }
 }
 
-/// The per-shard views both drivers expose, written once. The driver
+/// The per-shard views both front ends expose, written once. The caller
 /// provides `each(f)` — `f` over every shard's core, in shard order —
 /// and `router()`.
 macro_rules! shard_views {
@@ -1093,7 +1093,7 @@ pub struct ServeEngine {
     clock: Arc<dyn ObsClock>,
 }
 
-/// The pumped driver's [`Host`]: direct access, supervision at the
+/// The pumped engine's [`Host`]: direct access, supervision at the
 /// pump's clock reading.
 struct Pumped<'a> {
     core: &'a mut ShardCore,

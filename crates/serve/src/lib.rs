@@ -31,7 +31,7 @@
 //! Every shard runs the same core — one admission front, one executor,
 //! one admit → batch → execute pass with one executor-panic path —
 //! behind one router (placement, failover, [`ShardSupervisor`]). One
-//! shard is just the plain case. Two thin drivers run it:
+//! shard is just the plain case. Two thin front ends run it:
 //! [`ServeEngine`] is the deterministic form, submitted to and pumped
 //! explicitly on an injected clock (how the scripted determinism tests
 //! drive it; [`ServeEngine::sharded`] builds N shards), and

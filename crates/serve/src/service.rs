@@ -1,4 +1,4 @@
-//! The threaded serving driver: concurrent submitters, one batcher
+//! The threaded serving front end: concurrent submitters, one batcher
 //! thread per shard, one supervisor thread.
 //!
 //! [`ShardedService`] runs the same per-shard core and router as
@@ -126,7 +126,7 @@ impl ShardTicket {
     }
 }
 
-/// One shard of the threaded driver: its core, and the condvar its
+/// One shard of the threaded service: its core, and the condvar its
 /// batcher sleeps on.
 struct Shard {
     core: Mutex<ShardCore>,
@@ -165,7 +165,7 @@ impl Shared {
     }
 }
 
-/// The threaded driver's [`Host`]: the core under its shard's lock,
+/// The threaded service's [`Host`]: the core under its shard's lock,
 /// verdicts to the supervisor under the router's.
 struct Batcher<'a> {
     shared: &'a Shared,

@@ -79,7 +79,7 @@ impl ShardRecord {
 
 /// The deterministic shard health supervisor.
 ///
-/// The caller (the serve router, under either driver) notifies it of failures,
+/// The caller (the serve router, pumped or threaded) notifies it of failures,
 /// restarts and clean batches; the supervisor answers health queries
 /// and restart-due checks. See the module docs for the state machine.
 #[derive(Debug, Clone)]
