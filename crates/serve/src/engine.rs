@@ -2,7 +2,7 @@
 //!
 //! `ShardCore` (crate-internal) is one shard: the bounded queue, the
 //! request spans, the serve tallies, the batch log and its
-//! [`BatchExecutor`]. `pass` is the one admit → batch → execute loop
+//! `BatchExecutor`. `pass` is the one admit → batch → execute loop
 //! over it, and `Router` the one placement, failover and supervision
 //! front over N of them. Two front ends run that core: [`ServeEngine`],
 //! pumped by the caller on a given clock (what the scripted determinism
@@ -43,7 +43,8 @@ pub struct ServeStats {
     /// Admitted requests answered [`RejectReason::ShardFailed`] because
     /// their shard died before their batch completed.
     pub failed: u64,
-    /// Admitted requests evicted by brownout shedding.
+    /// Always 0: the serving layer no longer sheds. Kept so callers that
+    /// build a `ServeStats` by field name keep compiling.
     pub shed: u64,
     /// Requests answered straight from the content-addressed result
     /// cache (also counted in `admitted` and `completed`).
@@ -59,13 +60,12 @@ impl ServeStats {
     #[must_use]
     pub fn render(&self) -> String {
         format!(
-            "serve: {} admitted, {} rejected, {} expired, {} completed, {} failed, {} shed in {} batches ({} cache hits, {} coalesced)",
+            "serve: {} admitted, {} rejected, {} expired, {} completed, {} failed in {} batches ({} cache hits, {} coalesced)",
             self.admitted,
             self.rejected,
             self.expired,
             self.completed,
             self.failed,
-            self.shed,
             self.batches,
             self.cache_hits,
             self.coalesced
@@ -94,8 +94,8 @@ pub struct BatchRecord {
 enum Unserved {
     /// Its deadline (absolute, ns) passed while it waited.
     Expired { deadline_ns: u64 },
-    /// Shed under brownout, or its shard died.
-    Abandoned(RejectReason),
+    /// Its shard died ([`RejectReason::ShardFailed`]).
+    Failed,
 }
 
 /// One shard of the serving layer: admission, expiry, batch formation,
@@ -156,22 +156,21 @@ impl ShardCore {
     }
 
     /// Admits `job` under request key `key` (the global id the router
-    /// assigned) with a deadline relative to now, falling back to the
-    /// config default, or rejects it — keeping tallies, the queue-depth
-    /// gauge, the request span and the admission/rejection events.
+    /// assigned) with an optional deadline relative to now, or rejects
+    /// it — keeping tallies, the queue-depth gauge, the request span and
+    /// the admission/rejection events.
     fn enqueue(
         &mut self,
         job: JobSpec,
         deadline_ns: Option<u64>,
         key: u64,
-        priority: u8,
     ) -> Result<(), RejectReason> {
         let now_ns = self.clock.now_ns();
         let kind = job.kind();
         // Content-addressed fast path: a cached answer satisfies any
-        // deadline, so the lookup precedes the feasibility check and the
-        // capacity gate (a hit occupies no queue slot). A failed or
-        // draining shard skips the lookup and refuses below.
+        // deadline, so the lookup precedes the capacity gate (a hit
+        // occupies no queue slot). A failed or draining shard skips the
+        // lookup and refuses below.
         let open = !self.queue.is_failed() && !self.queue.is_draining();
         if let Some(cache) = self.cache.as_ref().filter(|_| open) {
             let hit = cache
@@ -196,13 +195,7 @@ impl ShardCore {
                 }
             }
         }
-        let submitted = match self.feasibility_reject(deadline_ns) {
-            Some(reason) => Err(reason),
-            None => self
-                .queue
-                .submit_prioritized(now_ns, job, deadline_ns, Some(key), priority),
-        };
-        match submitted {
+        match self.queue.submit(now_ns, job, deadline_ns, key) {
             Ok(admitted) => {
                 self.stats.admitted += 1;
                 if let Some(o) = &self.observer {
@@ -335,48 +328,6 @@ impl ShardCore {
         });
     }
 
-    /// The deadline-feasibility fast reject: refuses a request whose
-    /// relative deadline is shorter than this shard's own p95
-    /// admission-to-completion estimate. Opt-in via
-    /// [`crate::FeasibilityConfig`] and inert until the latency
-    /// histogram holds `min_samples` completions.
-    fn feasibility_reject(&self, deadline_ns: Option<u64>) -> Option<RejectReason> {
-        let policy = self.queue.config().feasibility?;
-        let ins = self.instruments.as_ref()?;
-        let deadline = deadline_ns.or(self.queue.config().default_deadline_ns)?;
-        let snap = ins.request_latency_ns.snapshot();
-        if snap.count >= policy.min_samples && deadline < snap.p95 {
-            Some(RejectReason::Infeasible {
-                needed_ns: snap.p95,
-                deadline_ns: deadline,
-            })
-        } else {
-            None
-        }
-    }
-
-    /// Brownout shedding: evicts the lowest-priority waiting requests
-    /// down to the configured high-water mark, answering each
-    /// [`Disposition::Failed`] / [`RejectReason::Shed`]. Inert without a
-    /// [`crate::BrownoutConfig`].
-    pub(crate) fn take_shed(&mut self) -> Vec<ServeResponse> {
-        let Some(policy) = self.queue.config().brownout else {
-            return Vec::new();
-        };
-        let victims = self.queue.take_shed(policy.high_water);
-        if victims.is_empty() {
-            return Vec::new();
-        }
-        let now_ns = self.clock.now_ns();
-        // a shed leader takes its coalesced followers with it
-        let responses = victims
-            .iter()
-            .flat_map(|p| self.abandon_all(p, RejectReason::Shed, now_ns))
-            .collect();
-        self.observe_depth();
-        responses
-    }
-
     /// Marks the shard failed (later submissions get
     /// [`RejectReason::ShardFailed`]) and answers everything still
     /// queued terminally.
@@ -386,45 +337,19 @@ impl ShardCore {
         let now_ns = self.clock.now_ns();
         let responses = victims
             .iter()
-            .flat_map(|p| self.abandon_all(p, RejectReason::ShardFailed, now_ns))
+            .flat_map(|p| self.abandon_all(p, now_ns))
             .collect();
         self.observe_depth();
         responses
     }
 
-    /// Answers one admitted request — and every follower coalesced onto
-    /// it — [`RejectReason::ShardFailed`]. Used for batch members whose
-    /// execution died underneath them.
-    pub(crate) fn fail_pending(&mut self, p: &Pending) -> Vec<ServeResponse> {
-        let now_ns = self.clock.now_ns();
-        self.abandon_all(p, RejectReason::ShardFailed, now_ns)
-    }
-
-    /// Answers requests whose `Pending`s are gone (consumed by a pass
-    /// that died) from what the ticket table still knows: `(key,
-    /// enqueued_ns)` per request.
-    pub(crate) fn fail_inflight(&mut self, known: &[(u64, u64)]) -> Vec<ServeResponse> {
-        let now_ns = self.clock.now_ns();
-        let how = Unserved::Abandoned(RejectReason::ShardFailed);
-        known
-            .iter()
-            .map(|&(key, enqueued_ns)| {
-                self.abandon(key, canti_obs::trace_id(key), enqueued_ns, how, now_ns)
-            })
-            .collect()
-    }
-
-    /// [`Self::abandon`] for a leader and every follower riding on it.
-    fn abandon_all(
-        &mut self,
-        p: &Pending,
-        reason: RejectReason,
-        now_ns: u64,
-    ) -> Vec<ServeResponse> {
+    /// [`Self::abandon`] for a leader and every follower riding on it,
+    /// all answered [`RejectReason::ShardFailed`].
+    fn abandon_all(&mut self, p: &Pending, now_ns: u64) -> Vec<ServeResponse> {
         std::iter::once((p.key, p.trace, p.enqueued_ns))
             .chain(p.followers.iter().map(|f| (f.key, f.trace, f.enqueued_ns)))
             .map(|(key, trace, enqueued)| {
-                self.abandon(key, trace, enqueued, Unserved::Abandoned(reason), now_ns)
+                self.abandon(key, trace, enqueued, Unserved::Failed, now_ns)
             })
             .collect()
     }
@@ -442,38 +367,41 @@ impl ShardCore {
         now_ns: u64,
     ) -> ServeResponse {
         let waited_ns = now_ns.saturating_sub(enqueued_ns);
-        let (outcome, series) = match how {
-            Unserved::Expired { .. } => {
+        let (outcome, disposition) = match how {
+            Unserved::Expired { deadline_ns } => {
                 self.stats.expired += 1;
-                ("expired", "serve.expired")
+                let d = Disposition::Expired {
+                    waited_ns,
+                    deadline_ns,
+                };
+                ("expired", d)
             }
-            Unserved::Abandoned(RejectReason::Shed) => {
-                self.stats.shed += 1;
-                ("shed", "serve.shed")
-            }
-            Unserved::Abandoned(reason) => {
+            Unserved::Failed => {
                 self.stats.failed += 1;
-                (reason.label(), "serve.failed")
+                let reason = RejectReason::ShardFailed;
+                (reason.label(), Disposition::Failed { reason })
             }
         };
+        let expired = matches!(how, Unserved::Expired { .. });
         if let Some(o) = &self.observer {
             let fields = [
                 ("request", key.into()),
                 ("trace", trace.into()),
                 ("reason", outcome.into()),
             ];
-            match how {
-                Unserved::Expired { .. } => o.tracer().event("request_expired", &fields[..2]),
-                Unserved::Abandoned(_) => o.tracer().event("request_abandoned", &fields),
+            if expired {
+                o.tracer().event("request_expired", &fields[..2]);
+            } else {
+                o.tracer().event("request_abandoned", &fields);
             }
         }
         if let Some(ins) = &self.instruments {
-            match how {
-                Unserved::Expired { .. } => &ins.expired,
-                Unserved::Abandoned(RejectReason::Shed) => &ins.shed,
-                Unserved::Abandoned(_) => &ins.failed,
-            }
-            .inc();
+            let (counter, series) = if expired {
+                (&ins.expired, "serve.expired")
+            } else {
+                (&ins.failed, "serve.failed")
+            };
+            counter.inc();
             ins.timeline.record_delta(series, 1, now_ns);
             ins.slo.record_outcome(false, now_ns);
             ins.requests.push(canti_obs::RequestRecord {
@@ -492,13 +420,6 @@ impl ShardCore {
         if let Some(span) = self.spans.remove(&key) {
             span.end();
         }
-        let disposition = match how {
-            Unserved::Expired { deadline_ns } => Disposition::Expired {
-                waited_ns,
-                deadline_ns,
-            },
-            Unserved::Abandoned(reason) => Disposition::Failed { reason },
-        };
         ServeResponse {
             request_id: key,
             trace,
@@ -669,11 +590,10 @@ impl ShardCore {
         &mut self,
         job: JobSpec,
         deadline_ns: Option<u64>,
-        priority: u8,
         request: u64,
         from: Option<usize>,
     ) -> Result<(), RejectReason> {
-        self.enqueue(job, deadline_ns, request, priority)?;
+        self.enqueue(job, deadline_ns, request)?;
         if let Some(from) = from {
             if let Some(ins) = &self.instruments {
                 ins.failovers.inc();
@@ -725,9 +645,9 @@ impl ShardCore {
     }
 
     /// The lock-scoped opening of a pass: buffered cache hits and
-    /// expiries, then shedding and every ready batch — or, when
-    /// draining, admission stopped and the whole queue released. A dead
-    /// shard answered everything when it died, so it opens nothing.
+    /// expiries, then every ready batch — or, when draining, admission
+    /// stopped and the whole queue released. A dead shard answered
+    /// everything when it died, so it opens nothing.
     fn open(&mut self, drain: bool) -> (Vec<ServeResponse>, Vec<FormedBatch>) {
         if self.queue.is_failed() {
             if drain {
@@ -737,11 +657,12 @@ impl ShardCore {
         }
         let mut ready = std::mem::take(&mut self.hits);
         ready.extend(self.take_expired());
-        if drain {
-            return (ready, self.begin_drain());
-        }
-        ready.extend(self.take_shed());
-        (ready, self.form_ready())
+        let batches = if drain {
+            self.begin_drain()
+        } else {
+            self.form_ready()
+        };
+        (ready, batches)
     }
 
     /// Lands one executed batch — the one executor-panic path. A clean
@@ -765,15 +686,14 @@ impl ShardCore {
                     o.tracer()
                         .event("shard_down", &[("batch", executed.index.into())]);
                 }
-                let mut out: Vec<ServeResponse> = executed
+                let now_ns = self.clock.now_ns();
+                let mut out = Vec::new();
+                for p in executed
                     .members
-                    .iter()
-                    .flat_map(|p| self.fail_pending(p))
-                    .collect();
-                for batch in stranded {
-                    for p in &batch.items {
-                        out.extend(self.fail_pending(p));
-                    }
+                    .into_iter()
+                    .chain(stranded.flat_map(|b| b.items))
+                {
+                    out.extend(self.abandon_all(&p, now_ns));
                 }
                 out.extend(self.fail_queued());
                 self.stats.batches = self.queue.batches_formed();
@@ -788,12 +708,20 @@ impl ShardCore {
     pub(crate) fn fail_outstanding(&mut self) {
         let queued = self.fail_queued();
         let _ = self.deliver(queued);
+        // the requests a dying pass consumed survive only as tickets
+        let now_ns = self.clock.now_ns();
         let known: Vec<(u64, u64)> = self
             .tickets
             .iter()
             .map(|(&request, cell)| (request, cell.enqueued_ns))
             .collect();
-        let inflight = self.fail_inflight(&known);
+        let inflight = known
+            .into_iter()
+            .map(|(key, enqueued_ns)| {
+                let trace = canti_obs::trace_id(key);
+                self.abandon(key, trace, enqueued_ns, Unserved::Failed, now_ns)
+            })
+            .collect();
         let _ = self.deliver(inflight);
     }
 
@@ -867,7 +795,7 @@ pub(crate) trait Host {
 }
 
 /// One pass over a shard — the loop both front ends run. The core opens it
-/// (hits, expiries, shedding, formation — or the drain flush); each
+/// (hits, expiries, formation — or the drain flush); each
 /// formed batch then executes with the core released, its verdict goes
 /// to the supervisor — at most one `Clean` per pass, and `Died` — and
 /// only then does it land, so health changes before any of its tickets
@@ -1077,8 +1005,8 @@ pub(crate) use shard_views;
 /// The pumped serving engine: submit requests, then [`pump`] whenever
 /// the clock has moved (or a threshold may have been crossed) to expire,
 /// batch and execute them. [`Self::new`] builds one shard;
-/// [`Self::sharded`] builds N behind [`route_request`], supervised by a
-/// [`ShardSupervisor`] and failing over by [`route_failover`].
+/// [`Self::sharded`] builds N behind [`route_request`], supervised under
+/// a [`SupervisorConfig`] and failing over by [`route_failover`].
 ///
 /// This is the deterministic form of the serving layer: given the same
 /// config and the same scripted sequence of submissions and clock
@@ -1190,8 +1118,7 @@ impl ServeEngine {
         self.shards.len()
     }
 
-    /// Submits a request without an explicit deadline (the config
-    /// default, if any, applies), returning its global id.
+    /// Submits a request without a deadline, returning its global id.
     ///
     /// # Errors
     ///
@@ -1199,7 +1126,7 @@ impl ServeEngine {
     /// draining), or [`RejectReason::ShardFailed`] when no live shard
     /// remains. A rejection burns no id.
     pub fn submit(&mut self, job: JobSpec) -> Result<u64, RejectReason> {
-        self.submit_prioritized(job, None, 0)
+        self.submit_inner(job, None)
     }
 
     /// Submits a request that expires `deadline_ns` after admission if
@@ -1213,36 +1140,26 @@ impl ServeEngine {
         job: JobSpec,
         deadline_ns: u64,
     ) -> Result<u64, RejectReason> {
-        self.submit_prioritized(job, Some(deadline_ns), 0)
+        self.submit_inner(job, Some(deadline_ns))
     }
 
-    /// Submits a request with an explicit brownout priority class:
-    /// higher priorities survive shedding longer. [`Self::submit`] uses
-    /// priority 0.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::submit`].
-    pub fn submit_prioritized(
+    fn submit_inner(
         &mut self,
         job: JobSpec,
         deadline_ns: Option<u64>,
-        priority: u8,
     ) -> Result<u64, RejectReason> {
         let shards = &mut self.shards;
         self.router
-            .place(|shard, id, from| {
-                shards[shard].admit(job.clone(), deadline_ns, priority, id, from)
-            })
+            .place(|shard, id, from| shards[shard].admit(job.clone(), deadline_ns, id, from))
             .map(|(id, _, ())| id)
     }
 
     /// Advances every shard, in shard order, at the current clock
     /// reading: a `Down` shard whose backoff has elapsed is revived
-    /// first, then each shard expires overdue requests, sheds over the
-    /// brownout mark, and forms and executes every ready batch. Returns
-    /// all responses — per shard: cache hits, expirations, shed
-    /// evictions, then batch completions in admission order. A dead
+    /// first, then each shard expires overdue requests and forms and
+    /// executes every ready batch. Returns all responses — per shard:
+    /// cache hits, expirations, then batch completions in admission
+    /// order. A dead
     /// shard pumps to nothing until revived (its queue was already
     /// answered terminally).
     pub fn pump(&mut self) -> Vec<ServeResponse> {

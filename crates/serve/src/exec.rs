@@ -35,7 +35,6 @@ pub(crate) struct ServeInstruments {
     pub completed: Arc<Counter>,
     pub batches: Arc<Counter>,
     pub failed: Arc<Counter>,
-    pub shed: Arc<Counter>,
     pub failovers: Arc<Counter>,
     pub shard_restarts: Arc<Counter>,
     pub cache_hit: Arc<Counter>,
@@ -73,7 +72,6 @@ impl ServeInstruments {
             "serve.failed",
             "admitted requests abandoned because their shard died",
         );
-        m.describe("serve.shed", "admitted requests evicted under brownout");
         m.describe(
             "serve.failovers",
             "requests rerouted here because their primary shard was down",
@@ -98,7 +96,6 @@ impl ServeInstruments {
             completed: m.counter("serve.completed"),
             batches: m.counter("serve.batches"),
             failed: m.counter("serve.failed"),
-            shed: m.counter("serve.shed"),
             failovers: m.counter("serve.failovers"),
             shard_restarts: m.counter("serve.shard_restarts"),
             cache_hit: m.counter("serve.cache_hit"),
@@ -114,7 +111,7 @@ impl ServeInstruments {
     }
 }
 
-/// Runs [`FormedBatch`]es on the farm engine.
+/// Runs formed batches on the farm engine.
 ///
 /// Construction fixes the worker count, the shared precompute cache and
 /// the (optional) observer; execution is then a pure mapping from a
@@ -122,7 +119,7 @@ impl ServeInstruments {
 /// count because the farm itself is. Clones share the pool, the caches,
 /// the observer and the chaos state.
 #[derive(Debug, Clone)]
-pub struct BatchExecutor {
+pub(crate) struct BatchExecutor {
     threads: usize,
     pool: Arc<WorkerPool>,
     cache: Arc<PrecomputeCache>,
@@ -192,21 +189,10 @@ impl BatchExecutor {
         self.instruments.as_ref()
     }
 
-    /// Attaches a farm observer: batches run with farm telemetry and the
-    /// serve-side counters/histograms/spans are recorded into the same
-    /// registry and trace stream. SLO scoring uses the default
-    /// [`SloConfig`]; the engine/service paths instead inject the shared
-    /// instruments built from their [`crate::ServeConfig::slo`].
-    #[must_use]
-    pub fn with_observer(self, observer: FarmObserver) -> Self {
-        let instruments =
-            ServeInstruments::new(&observer, SloConfig::default(), TimelineConfig::default());
-        self.with_instruments(observer, instruments)
-    }
-
-    /// Attaches an observer together with an already-built instrument
-    /// set, so the engine front and the executor score the same SLO
-    /// windows and fill the same request log.
+    /// Attaches a farm observer together with the shard's instrument
+    /// set: batches run with farm telemetry, and the serve-side
+    /// counters, histograms, spans, SLO windows and request log record
+    /// into the same registry and trace stream the admission side uses.
     #[must_use]
     pub(crate) fn with_instruments(
         mut self,
@@ -231,12 +217,6 @@ impl BatchExecutor {
     #[must_use]
     pub fn observer(&self) -> Option<&FarmObserver> {
         self.observer.as_ref()
-    }
-
-    /// The clock requests are timed on.
-    #[must_use]
-    pub fn clock(&self) -> &Arc<dyn ObsClock> {
-        &self.clock
     }
 
     /// Executes `batch` on a farm riding this executor's persistent
@@ -433,8 +413,8 @@ mod tests {
             ..ServeConfig::default()
         });
         for i in 0..jobs {
-            q.submit(clock_now, JobSpec::Probe(ProbeMode::Draws(1 + i)), None)
-                .unwrap();
+            let job = JobSpec::Probe(ProbeMode::Draws(1 + i));
+            q.submit(clock_now, job, None, i as u64).unwrap();
         }
         q.pop_ready(clock_now).expect("size-triggered batch")
     }
@@ -485,7 +465,9 @@ mod tests {
     fn observed_execution_records_serve_metrics() {
         let clock = Arc::new(VirtualClock::new());
         let (observer, ring) = FarmObserver::deterministic(4096);
-        let exec = BatchExecutor::new(2, clock).with_observer(observer);
+        let config = ServeConfig::default();
+        let instruments = ServeInstruments::new(&observer, config.slo, config.timeline);
+        let exec = BatchExecutor::new(2, clock).with_instruments(observer, instruments);
         let responses = exec.execute(formed(3, 0));
         assert_eq!(responses.len(), 3);
         let m = exec.observer().expect("observer").metrics();

@@ -8,7 +8,7 @@
 //! This crate is that front end, std-only like the rest of the
 //! workspace:
 //!
-//! * **Bounded admission** — [`queue::AdmissionQueue`] holds at most
+//! * **Bounded admission** — each shard's admission queue holds at most
 //!   [`ServeConfig::queue_capacity`] waiting requests; submissions past
 //!   that are rejected immediately with an explicit
 //!   [`RejectReason::QueueFull`] instead of queueing unboundedly
@@ -18,9 +18,14 @@
 //!   ([`ServeConfig::max_batch`]) is reached or the oldest waiting
 //!   request has lingered for [`ServeConfig::linger_ns`]. Both decisions
 //!   read the injected [`canti_obs::ObsClock`], never the OS clock.
-//! * **Per-request deadlines** — a request still waiting when its
-//!   deadline passes is answered [`Disposition::Expired`] rather than
-//!   occupying a batch slot it can no longer use.
+//! * **Per-request deadlines** — a request submitted with a deadline
+//!   (`submit_with_deadline`) and still waiting when it passes is
+//!   answered [`Disposition::Expired`] rather than occupying a batch
+//!   slot it can no longer use.
+//! * **Result cache and coalescing** — with [`ServeConfig::cache`] on,
+//!   a repeated spec is answered from the shard's cache at admission,
+//!   and a deadline-free submission identical to a queued one rides
+//!   that request's batch slot instead of taking its own.
 //! * **Graceful drain** — shutdown stops admitting (subsequent
 //!   submissions get [`RejectReason::Draining`]), flushes everything
 //!   still queued as final batches, fulfils every outstanding ticket and
@@ -28,10 +33,11 @@
 //!
 //! # Two entry points, one core
 //!
-//! Every shard runs the same core — one admission front, one executor,
+//! Every shard runs the same core — one admission queue, one executor,
 //! one admit → batch → execute pass with one executor-panic path —
-//! behind one router (placement, failover, [`ShardSupervisor`]). One
-//! shard is just the plain case. Two thin front ends run it:
+//! behind one router (global ids, placement, failover, and one shard
+//! supervisor under [`SupervisorConfig`]). One shard is just the plain
+//! case. Two thin front ends run it:
 //! [`ServeEngine`] is the deterministic form, submitted to and pumped
 //! explicitly on an injected clock (how the scripted determinism tests
 //! drive it; [`ServeEngine::sharded`] builds N shards), and
@@ -77,7 +83,7 @@
 
 pub mod cache;
 pub mod engine;
-pub mod exec;
+mod exec;
 pub mod queue;
 pub mod response;
 pub mod service;
@@ -88,12 +94,11 @@ pub use cache::{canonical_job_line, job_key, CacheConfig, CacheStats, JobKey, Re
 pub use canti_fault::{ServeFaultEvent, ServeFaultKind, ServeFaultPlan};
 pub use canti_obs::{SloConfig, TimelineConfig};
 pub use engine::{BatchRecord, ServeEngine, ServeStats};
-pub use exec::BatchExecutor;
-pub use queue::{AdmissionQueue, BatchTrigger, FormedBatch, RejectReason};
+pub use queue::{BatchTrigger, RejectReason};
 pub use response::{Disposition, LatencyBreakdown, ServeResponse};
 pub use service::{ShardTicket, ShardedService};
 pub use shard::{request_seed, route_failover, route_request, ShardHealth, ShardedConfig};
-pub use supervisor::{ShardSupervisor, SupervisorConfig};
+pub use supervisor::SupervisorConfig;
 
 /// Admission, batching and execution policy for the serving layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,9 +112,6 @@ pub struct ServeConfig {
     /// Linger deadline: a non-full batch fires once the *oldest* queued
     /// request has waited this long (on the serve clock).
     pub linger_ns: u64,
-    /// Default per-request deadline, relative to admission, applied when
-    /// a submission carries none. `None` disables default deadlines.
-    pub default_deadline_ns: Option<u64>,
     /// Base serve seed. Each admitted request's RNG stream derives from
     /// [`shard::request_seed`] over this base and the request key, so a
     /// given arrival script replays to identical payloads — on any
@@ -127,11 +129,6 @@ pub struct ServeConfig {
     /// behind `/debug/timeline`. Recorded only when an observer is
     /// attached, like the SLO tracker.
     pub timeline: TimelineConfig,
-    /// Deadline-feasibility fast reject at admission. `None` (default)
-    /// disables the check, preserving pre-existing scripted traces.
-    pub feasibility: Option<FeasibilityConfig>,
-    /// Brownout shedding policy. `None` (default) disables shedding.
-    pub brownout: Option<BrownoutConfig>,
     /// Content-addressed result caching and in-flight coalescing policy.
     /// `None` (default) disables both, preserving pre-existing scripted
     /// traces. When set, each request's RNG stream derives from the
@@ -142,53 +139,16 @@ pub struct ServeConfig {
     pub cache: Option<CacheConfig>,
 }
 
-/// Policy for the deadline-feasibility fast reject: refuse a request at
-/// the door ([`RejectReason::Infeasible`]) when its relative deadline is
-/// shorter than the shard's own p95 admission-to-completion estimate,
-/// read from the `serve.request_latency_ns` histogram. Only active on
-/// observed engines — unobserved builds have no histogram to consult.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FeasibilityConfig {
-    /// Completed-request samples the histogram must hold before the
-    /// estimate is trusted; below this every deadline is admitted.
-    pub min_samples: u64,
-}
-
-impl Default for FeasibilityConfig {
-    fn default() -> Self {
-        Self { min_samples: 32 }
-    }
-}
-
-/// Policy for brownout shedding: once queue depth exceeds `high_water`,
-/// the pump evicts the lowest-priority waiting requests (newest first
-/// among equals) down to the mark, answering each
-/// [`Disposition::Failed`] with [`RejectReason::Shed`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BrownoutConfig {
-    /// Queue depth above which shedding starts.
-    pub high_water: usize,
-}
-
-impl Default for BrownoutConfig {
-    fn default() -> Self {
-        Self { high_water: 32 }
-    }
-}
-
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             queue_capacity: 64,
             max_batch: 16,
             linger_ns: 1_000_000, // 1 ms
-            default_deadline_ns: None,
             batch_seed: 0x5E4E_2026,
             threads: 0,
             slo: SloConfig::default(),
             timeline: TimelineConfig::default(),
-            feasibility: None,
-            brownout: None,
             cache: None,
         }
     }

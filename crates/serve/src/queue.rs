@@ -29,20 +29,6 @@ pub enum RejectReason {
     /// handed to requests that were already in flight when the shard
     /// died — admitted work is answered, never abandoned silently.
     ShardFailed,
-    /// Deadline-feasibility fast reject: the relative deadline is
-    /// shorter than the shard's own p95 service-time estimate, so
-    /// admitting the request would almost certainly burn a batch slot on
-    /// work that expires anyway.
-    Infeasible {
-        /// The shard's p95 admission-to-completion estimate, ns.
-        needed_ns: u64,
-        /// The relative deadline the request asked for, ns.
-        deadline_ns: u64,
-    },
-    /// Brownout shedding evicted the request: queue depth crossed the
-    /// configured high-water mark and this request was among the lowest
-    /// priority waiting.
-    Shed,
 }
 
 impl RejectReason {
@@ -53,8 +39,6 @@ impl RejectReason {
             Self::QueueFull { .. } => "queue_full",
             Self::Draining => "draining",
             Self::ShardFailed => "shard_failed",
-            Self::Infeasible { .. } => "infeasible",
-            Self::Shed => "shed",
         }
     }
 }
@@ -67,14 +51,6 @@ impl fmt::Display for RejectReason {
             }
             Self::Draining => write!(f, "service is draining"),
             Self::ShardFailed => write!(f, "shard failed"),
-            Self::Infeasible {
-                needed_ns,
-                deadline_ns,
-            } => write!(
-                f,
-                "deadline infeasible ({deadline_ns} ns asked, p95 service is {needed_ns} ns)"
-            ),
-            Self::Shed => write!(f, "shed under brownout"),
         }
     }
 }
@@ -133,15 +109,6 @@ pub(crate) enum Admitted {
     },
 }
 
-impl Admitted {
-    /// The request's id either way.
-    pub(crate) fn key(&self) -> u64 {
-        match *self {
-            Self::Queued(key) | Self::Coalesced { key, .. } => key,
-        }
-    }
-}
-
 /// One admitted request waiting for (or riding in) a batch.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Pending {
@@ -149,26 +116,22 @@ pub(crate) struct Pending {
     pub job: JobSpec,
     /// The seed this request's farm RNG stream derives from:
     /// [`crate::shard::request_seed`] over the config's base seed and
-    /// the request key (the global id under a sharded front, the local
-    /// id otherwise). Fixed at admission so the payload is independent
-    /// of which batch, slot or shard the request later rides in.
+    /// the request key (or the spec's content hash with the cache on).
+    /// Fixed at admission so the payload is independent of which batch,
+    /// slot or shard the request later rides in.
     pub seed: u64,
     /// The request-scoped trace id: [`canti_obs::trace_id`] over the
     /// same key the seed derives from, so every span the request touches
     /// carries one stable id at any worker or shard count.
     pub trace: u64,
-    /// The request's id, which the seed and trace derive from: the
-    /// **global** id the engine assigned, or the queue's own
-    /// admission-ordered id for an unkeyed submission. Unique per queue;
+    /// The request's **global** id, assigned by the router: the trace
+    /// (and, with the cache off, the seed) derive from it, and
     /// responses, batch logs and telemetry all report it.
     pub key: u64,
     /// Clock reading at admission.
     pub enqueued_ns: u64,
     /// Absolute expiry instant, when the request carries a deadline.
     pub deadline_ns: Option<u64>,
-    /// Brownout priority class: higher values survive shedding longer.
-    /// Unprioritized submissions get 0.
-    pub priority: u8,
     /// The spec's content hash — `Some` only when the config enables the
     /// result cache. Drives in-flight coalescing and the post-batch
     /// cache insert.
@@ -182,7 +145,7 @@ pub(crate) struct Pending {
 /// A batch the queue has released for execution: an ordered slice of
 /// admitted requests plus the farm seed it must run under.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FormedBatch {
+pub(crate) struct FormedBatch {
     /// Zero-based batch index (also the seed offset).
     pub index: u64,
     /// What fired the batch.
@@ -203,12 +166,6 @@ impl FormedBatch {
         self.items.len()
     }
 
-    /// Whether the batch is empty (never produced by the queue).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
     /// The member request ids, in admission order.
     #[must_use]
     pub fn request_ids(&self) -> Vec<u64> {
@@ -218,21 +175,20 @@ impl FormedBatch {
 
 /// The bounded, deadline-aware admission queue.
 ///
-/// All mutation is explicit: [`Self::submit`] admits or rejects,
+/// All mutation is explicit: `submit` admits or rejects,
 /// `take_expired` removes requests whose deadline has passed,
 /// and `pop_ready` / `pop_drain` release batches. Time
 /// never flows implicitly — every decision reads the `now_ns` the caller
 /// passes in.
 #[derive(Debug)]
-pub struct AdmissionQueue {
+pub(crate) struct AdmissionQueue {
     config: ServeConfig,
     queue: VecDeque<Pending>,
     /// Content hash → queued leader key, maintained only when the config
-    /// enables the result cache. A deadline-free default-priority
-    /// submission whose hash is in here coalesces onto that leader
-    /// instead of occupying a queue slot.
+    /// enables the result cache. A deadline-free submission whose hash
+    /// is in here coalesces onto that leader instead of occupying a
+    /// queue slot.
     inflight: BTreeMap<JobKey, u64>,
-    next_id: u64,
     next_batch: u64,
     draining: bool,
     failed: bool,
@@ -246,7 +202,6 @@ impl AdmissionQueue {
             config,
             queue: VecDeque::with_capacity(config.capacity()),
             inflight: BTreeMap::new(),
-            next_id: 0,
             next_batch: 0,
             draining: false,
             failed: false,
@@ -279,8 +234,7 @@ impl AdmissionQueue {
         self.failed
     }
 
-    /// Marks the owning shard failed. Request ids keep advancing across
-    /// the outage so a restarted shard never reuses an id.
+    /// Marks the owning shard failed.
     pub(crate) fn fail(&mut self) {
         self.failed = true;
     }
@@ -296,48 +250,31 @@ impl AdmissionQueue {
         self.next_batch
     }
 
-    /// Admits `job` at time `now_ns`, or explains why not.
-    ///
-    /// `deadline_ns` is relative to admission; when `None`, the config's
-    /// default deadline (if any) applies. Returns the request id.
-    ///
-    /// # Errors
-    ///
-    /// [`RejectReason::Draining`] once [`Self::begin_drain`] was called,
-    /// [`RejectReason::QueueFull`] when `capacity` requests wait already.
-    pub fn submit(
-        &mut self,
-        now_ns: u64,
-        job: JobSpec,
-        deadline_ns: Option<u64>,
-    ) -> Result<u64, RejectReason> {
-        self.submit_prioritized(now_ns, job, deadline_ns, None, 0)
-            .map(|a| a.key())
-    }
-
-    /// [`Self::submit`] with an explicit seed key and brownout priority
-    /// class. The engine passes the **global** request id as the key so
-    /// the request's RNG stream — and therefore its payload bits — is
-    /// the same on any shard count. Unkeyed submissions fall back to the
-    /// queue's own id, which coincides with the global id on one shard.
+    /// Admits `job` at time `now_ns` under request key `key` (the
+    /// global id the router assigned), or explains why not.
+    /// `deadline_ns`, when given, is relative to admission.
     ///
     /// With the result cache enabled, two things change. The request's
     /// RNG seed derives from its spec's **content hash** instead of its
     /// key, so identical specs yield identical payload bits (the
     /// invariant that makes cached answers bitwise interchangeable with
-    /// recomputed ones). And a deadline-free, default-priority
-    /// submission identical to a queued request **coalesces**: it gets
-    /// its own id but occupies no queue slot and runs no job — the
-    /// leader's answer fans out to it. Deadline-carrying or prioritized
-    /// submissions always queue normally so expiry and shedding
-    /// semantics stay exact.
-    pub(crate) fn submit_prioritized(
+    /// recomputed ones). And a deadline-free submission identical to a
+    /// queued request **coalesces**: it keeps its own key but occupies
+    /// no queue slot and runs no job — the leader's answer fans out to
+    /// it. A submission with a deadline always queues normally, so
+    /// expiry stays exact.
+    ///
+    /// # Errors
+    ///
+    /// [`RejectReason::ShardFailed`] while the shard is marked failed,
+    /// [`RejectReason::Draining`] once `begin_drain` was called,
+    /// [`RejectReason::QueueFull`] when `capacity` requests wait already.
+    pub(crate) fn submit(
         &mut self,
         now_ns: u64,
         job: JobSpec,
         deadline_ns: Option<u64>,
-        key: Option<u64>,
-        priority: u8,
+        key: u64,
     ) -> Result<Admitted, RejectReason> {
         if self.failed {
             return Err(RejectReason::ShardFailed);
@@ -346,14 +283,10 @@ impl AdmissionQueue {
             return Err(RejectReason::Draining);
         }
         let job_key = self.config.cache.map(|_| crate::cache::job_key(&job));
-        let coalescable =
-            deadline_ns.is_none() && self.config.default_deadline_ns.is_none() && priority == 0;
-        if coalescable {
+        if deadline_ns.is_none() {
             if let Some(k) = job_key {
                 if let Some(&leader) = self.inflight.get(&k) {
                     if let Some(p) = self.queue.iter_mut().find(|p| p.key == leader) {
-                        let key = key.unwrap_or(self.next_id);
-                        self.next_id += 1;
                         p.followers.push(Follower {
                             key,
                             trace: canti_obs::trace_id(key),
@@ -368,11 +301,7 @@ impl AdmissionQueue {
         if self.queue.len() >= capacity {
             return Err(RejectReason::QueueFull { capacity });
         }
-        let key = key.unwrap_or(self.next_id);
-        self.next_id += 1;
-        let deadline = deadline_ns
-            .or(self.config.default_deadline_ns)
-            .map(|d| now_ns.saturating_add(d));
+        let deadline = deadline_ns.map(|d| now_ns.saturating_add(d));
         let seed = match job_key {
             // content-derived: identical specs → identical payload bits
             Some(k) => crate::shard::request_seed(self.config.batch_seed, k.fold()),
@@ -389,7 +318,6 @@ impl AdmissionQueue {
             key,
             enqueued_ns: now_ns,
             deadline_ns: deadline,
-            priority,
             job_key,
             followers: Vec::new(),
         });
@@ -424,10 +352,8 @@ impl AdmissionQueue {
                     p.key = f.key;
                     p.trace = f.trace;
                     p.enqueued_ns = f.enqueued_ns;
-                    // followers are deadline-free and priority-0 by the
-                    // coalescing rule
+                    // followers are deadline-free by the coalescing rule
                     p.deadline_ns = None;
-                    p.priority = 0;
                     if let Some(k) = p.job_key {
                         if inflight.get(&k) == Some(&gone.key) {
                             inflight.insert(k, p.key);
@@ -440,36 +366,6 @@ impl AdmissionQueue {
             _ => true,
         });
         expired
-    }
-
-    /// Brownout shedding: while more than `high_water` requests wait,
-    /// evicts the lowest-priority one (newest first among equals) and
-    /// returns the victims in eviction order. Purely a function of queue
-    /// state, so a scripted run sheds the same requests every time.
-    pub(crate) fn take_shed(&mut self, high_water: usize) -> Vec<Pending> {
-        let mut shed = Vec::new();
-        while self.queue.len() > high_water {
-            let min_priority = self
-                .queue
-                .iter()
-                .map(|p| p.priority)
-                .min()
-                .expect("queue is non-empty above the high-water mark");
-            let victim = self
-                .queue
-                .iter()
-                .rposition(|p| p.priority == min_priority)
-                .expect("a min-priority element exists");
-            let victim = self.queue.remove(victim).expect("victim index in range");
-            if let Some(k) = victim.job_key {
-                if self.inflight.get(&k) == Some(&victim.key) {
-                    self.inflight.remove(&k);
-                }
-            }
-            // a shed leader sheds its whole coalition with it
-            shed.push(victim);
-        }
-        shed
     }
 
     /// Empties the queue for shard-failure handling, in admission order.
@@ -497,7 +393,7 @@ impl AdmissionQueue {
         None
     }
 
-    /// Stops admission: every later [`Self::submit`] is rejected with
+    /// Stops admission: every later `submit` is rejected with
     /// [`RejectReason::Draining`].
     pub fn begin_drain(&mut self) {
         self.draining = true;
@@ -557,6 +453,7 @@ impl AdmissionQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheConfig;
     use canti_farm::ProbeMode;
 
     fn probe(v: f64) -> JobSpec {
@@ -573,12 +470,12 @@ mod tests {
     }
 
     #[test]
-    fn ids_are_admission_ordered_and_capacity_is_enforced() {
+    fn keys_are_the_callers_and_capacity_is_enforced() {
         let mut q = queue(2, 8, 100);
-        assert_eq!(q.submit(0, probe(1.0), None), Ok(0));
-        assert_eq!(q.submit(0, probe(2.0), None), Ok(1));
+        assert_eq!(q.submit(0, probe(1.0), None, 0), Ok(Admitted::Queued(0)));
+        assert_eq!(q.submit(0, probe(2.0), None, 1), Ok(Admitted::Queued(1)));
         assert_eq!(
-            q.submit(0, probe(3.0), None),
+            q.submit(0, probe(3.0), None, 2),
             Err(RejectReason::QueueFull { capacity: 2 })
         );
         assert_eq!(q.depth(), 2);
@@ -587,8 +484,9 @@ mod tests {
     #[test]
     fn size_threshold_fires_before_linger() {
         let mut q = queue(8, 3, 1_000);
-        for i in 0..5 {
-            q.submit(0, probe(f64::from(i)), None).unwrap();
+        for i in 0..5u32 {
+            q.submit(0, probe(f64::from(i)), None, u64::from(i))
+                .unwrap();
         }
         let b = q.pop_ready(0).expect("size-triggered batch");
         assert_eq!(b.trigger, BatchTrigger::Size);
@@ -600,8 +498,8 @@ mod tests {
     #[test]
     fn linger_deadline_fires_for_a_partial_batch() {
         let mut q = queue(8, 4, 1_000);
-        q.submit(10, probe(1.0), None).unwrap();
-        q.submit(500, probe(2.0), None).unwrap();
+        q.submit(10, probe(1.0), None, 0).unwrap();
+        q.submit(500, probe(2.0), None, 1).unwrap();
         assert!(q.pop_ready(1_009).is_none(), "oldest has waited 999 ns");
         let b = q.pop_ready(1_010).expect("linger fires at 1010");
         assert_eq!(b.trigger, BatchTrigger::Linger);
@@ -616,8 +514,8 @@ mod tests {
     #[test]
     fn deadlines_expire_queued_requests() {
         let mut q = queue(8, 8, 10_000);
-        q.submit(0, probe(1.0), Some(100)).unwrap();
-        q.submit(0, probe(2.0), None).unwrap();
+        q.submit(0, probe(1.0), Some(100), 0).unwrap();
+        q.submit(0, probe(2.0), None, 1).unwrap();
         assert!(q.take_expired(99).is_empty());
         let gone = q.take_expired(100);
         assert_eq!(gone.len(), 1);
@@ -627,26 +525,63 @@ mod tests {
     }
 
     #[test]
-    fn default_deadline_applies_when_submission_carries_none() {
+    fn only_deadline_free_submissions_coalesce_and_an_expiring_leader_promotes() {
         let mut q = AdmissionQueue::new(ServeConfig {
-            default_deadline_ns: Some(50),
+            cache: Some(CacheConfig { capacity: 8 }),
             ..ServeConfig::default()
         });
-        q.submit(7, probe(1.0), None).unwrap();
-        q.submit(7, probe(2.0), Some(500)).unwrap();
-        let gone = q.take_expired(57);
-        assert_eq!(gone.len(), 1, "default deadline 7+50 fires");
-        assert_eq!(gone[0].key, 0);
+        assert_eq!(
+            q.submit(0, probe(1.0), Some(100), 10),
+            Ok(Admitted::Queued(10))
+        );
+        let leader_seed = q.queue[0].seed;
+        for (at, key) in [(5, 11), (6, 12)] {
+            assert_eq!(
+                q.submit(at, probe(1.0), None, key),
+                Ok(Admitted::Coalesced { key, leader: 10 })
+            );
+        }
+        assert_eq!(q.depth(), 1, "followers ride the leader's slot");
+        assert_eq!(
+            q.submit(7, probe(1.0), Some(1_000), 13),
+            Ok(Admitted::Queued(13)),
+            "an identical submission with a deadline takes its own slot"
+        );
+        assert_eq!(q.depth(), 2);
+
+        let gone = q.take_expired(100);
+        assert_eq!(gone.len(), 1, "only the leader is reported expired");
+        assert_eq!(gone[0].key, 10);
+        assert!(gone[0].followers.is_empty());
+        // the oldest follower took the leader's place, seed and slot
+        let promoted = &q.queue[0];
+        assert_eq!(promoted.key, 11);
+        assert_eq!(promoted.trace, canti_obs::trace_id(11));
+        assert_eq!(promoted.seed, leader_seed, "payload bits unchanged");
+        assert_eq!(promoted.enqueued_ns, 5);
+        assert_eq!(promoted.deadline_ns, None);
+        assert_eq!(
+            promoted.followers.iter().map(|f| f.key).collect::<Vec<_>>(),
+            vec![12]
+        );
+        assert_eq!(q.depth(), 2);
+        q.begin_drain();
+        let b = q.pop_drain(100).expect("drain batch");
+        assert_eq!(b.request_ids(), vec![11, 13]);
     }
 
     #[test]
     fn drain_rejects_new_and_flushes_in_threshold_chunks() {
         let mut q = queue(8, 2, 1_000_000);
-        for i in 0..5 {
-            q.submit(0, probe(f64::from(i)), None).unwrap();
+        for i in 0..5u32 {
+            q.submit(0, probe(f64::from(i)), None, u64::from(i))
+                .unwrap();
         }
         q.begin_drain();
-        assert_eq!(q.submit(0, probe(9.0), None), Err(RejectReason::Draining));
+        assert_eq!(
+            q.submit(0, probe(9.0), None, 5),
+            Err(RejectReason::Draining)
+        );
         let sizes: Vec<usize> = std::iter::from_fn(|| q.pop_drain(0).map(|b| b.len())).collect();
         assert_eq!(sizes, vec![2, 2, 1]);
         assert!(q.pop_drain(0).is_none());
@@ -655,8 +590,8 @@ mod tests {
     #[test]
     fn batch_seeds_step_with_the_index() {
         let mut q = queue(8, 1, 1_000);
-        q.submit(0, probe(1.0), None).unwrap();
-        q.submit(0, probe(2.0), None).unwrap();
+        q.submit(0, probe(1.0), None, 0).unwrap();
+        q.submit(0, probe(2.0), None, 1).unwrap();
         let a = q.pop_ready(0).unwrap();
         let b = q.pop_ready(0).unwrap();
         assert_eq!(a.index, 0);
@@ -669,10 +604,10 @@ mod tests {
     fn next_wakeup_is_the_earlier_of_linger_and_deadline() {
         let mut q = queue(8, 8, 1_000);
         assert_eq!(q.next_wakeup_ns(), None);
-        q.submit(100, probe(1.0), Some(350)).unwrap();
+        q.submit(100, probe(1.0), Some(350), 0).unwrap();
         // linger at 1100, deadline at 450
         assert_eq!(q.next_wakeup_ns(), Some(450));
-        q.submit(120, probe(2.0), None).unwrap();
+        q.submit(120, probe(2.0), None, 1).unwrap();
         assert_eq!(q.next_wakeup_ns(), Some(450), "front linger still 1100");
         let _ = q.take_expired(450);
         assert_eq!(q.next_wakeup_ns(), Some(1_120), "now the second's linger");
@@ -686,49 +621,19 @@ mod tests {
         assert_eq!(RejectReason::Draining.label(), "draining");
         assert_eq!(BatchTrigger::Linger.label(), "linger");
         assert_eq!(RejectReason::ShardFailed.label(), "shard_failed");
-        assert!(RejectReason::Infeasible {
-            needed_ns: 100,
-            deadline_ns: 10
-        }
-        .to_string()
-        .contains("p95"));
-        assert_eq!(RejectReason::Shed.label(), "shed");
     }
 
     #[test]
-    fn failed_queue_refuses_until_restored_without_reusing_ids() {
+    fn failed_queue_refuses_until_restored() {
         let mut q = queue(8, 8, 100);
-        assert_eq!(q.submit(0, probe(1.0), None), Ok(0));
+        assert_eq!(q.submit(0, probe(1.0), None, 0), Ok(Admitted::Queued(0)));
         q.fail();
         assert!(q.is_failed());
         assert_eq!(
-            q.submit(0, probe(2.0), None),
+            q.submit(0, probe(2.0), None, 1),
             Err(RejectReason::ShardFailed)
         );
         q.restore();
-        assert_eq!(
-            q.submit(0, probe(3.0), None),
-            Ok(1),
-            "id 1 was never burned"
-        );
-    }
-
-    #[test]
-    fn shedding_evicts_lowest_priority_newest_first() {
-        let mut q = queue(8, 8, 1_000_000);
-        q.submit_prioritized(0, probe(0.0), None, None, 1).unwrap(); // id 0
-        q.submit_prioritized(0, probe(1.0), None, None, 0).unwrap(); // id 1
-        q.submit_prioritized(0, probe(2.0), None, None, 0).unwrap(); // id 2
-        q.submit_prioritized(0, probe(3.0), None, None, 2).unwrap(); // id 3
-        let shed = q.take_shed(2);
-        assert_eq!(
-            shed.iter().map(|p| p.key).collect::<Vec<_>>(),
-            vec![2, 1],
-            "priority-0 victims go newest first"
-        );
-        assert_eq!(q.depth(), 2);
-        assert!(q.take_shed(2).is_empty(), "at the mark, nothing sheds");
-        let survivors: Vec<u64> = q.take_all().iter().map(|p| p.key).collect();
-        assert_eq!(survivors, vec![0, 3], "high-priority requests survive");
+        assert_eq!(q.submit(0, probe(3.0), None, 1), Ok(Admitted::Queued(1)));
     }
 }

@@ -14,7 +14,9 @@ use crate::RejectReason;
 /// response streams at any worker count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeResponse {
-    /// The id [`crate::AdmissionQueue::submit`] handed out.
+    /// The request's global id: the one `submit` returned (or the
+    /// ticket carries), assigned by the router in submission order at
+    /// any shard count.
     pub request_id: u64,
     /// The request-scoped trace id: [`canti_obs::trace_id`] of the
     /// global admission id, fixed at admission. Every span and event the
@@ -98,8 +100,7 @@ pub enum Disposition {
     },
     /// The serving layer itself gave up on an **already admitted**
     /// request: its shard died before the batch completed
-    /// ([`RejectReason::ShardFailed`]) or brownout shedding evicted it
-    /// from the queue ([`RejectReason::Shed`]). Terminal by contract —
+    /// ([`RejectReason::ShardFailed`]). Terminal by contract —
     /// a waiter on the request's ticket always wakes up with this
     /// response instead of hanging on a dead batcher.
     Failed {
@@ -264,15 +265,6 @@ mod tests {
         assert!(!failed.disposition.is_ok());
         assert_eq!(failed.disposition.label(), "shard_failed");
         assert!(failed.to_string().contains("abandoned"));
-
-        let shed = ServeResponse {
-            request_id: 7,
-            trace: canti_obs::trace_id(7),
-            disposition: Disposition::Failed {
-                reason: RejectReason::Shed,
-            },
-        };
-        assert_eq!(shed.disposition.label(), "shed");
     }
 
     #[test]

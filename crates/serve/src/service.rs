@@ -24,8 +24,8 @@
 //!
 //! # Lock order
 //!
-//! The router lock (ids, placement, the [`crate::ShardSupervisor`])
-//! comes before any shard's core lock. Submitters and the supervisor
+//! The router lock (ids, placement, the shard supervisor) comes before
+//! any shard's core lock. Submitters and the supervisor
 //! thread take router then core; a batcher reports to the supervisor
 //! only while it holds no core lock.
 
@@ -315,9 +315,8 @@ impl ShardedService {
         self.shared.shards.len()
     }
 
-    /// Submits a request (config default deadline, if any, applies),
-    /// routed by the global id rule with failover when the primary
-    /// shard is down.
+    /// Submits a request without a deadline, routed by the global id
+    /// rule with failover when the primary shard is down.
     ///
     /// # Errors
     ///
@@ -350,7 +349,7 @@ impl ShardedService {
         // and admission commit atomically — a rejected submit burns no id
         let (id, shard, rx) = self.shared.router().place(|shard, id, from| {
             let mut core = self.shared.core(shard);
-            core.admit(job.clone(), deadline_ns, 0, id, from)?;
+            core.admit(job.clone(), deadline_ns, id, from)?;
             Ok(core.open_ticket(id))
         })?;
         self.shared.shards[shard].wake.notify_all();

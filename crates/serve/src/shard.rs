@@ -203,7 +203,6 @@ pub(crate) fn sum_stats(stats: impl Iterator<Item = ServeStats>) -> ServeStats {
         acc.completed += s.completed;
         acc.batches += s.batches;
         acc.failed += s.failed;
-        acc.shed += s.shed;
         acc.cache_hits += s.cache_hits;
         acc.coalesced += s.coalesced;
         acc

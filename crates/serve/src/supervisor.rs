@@ -83,7 +83,7 @@ impl ShardRecord {
 /// restarts and clean batches; the supervisor answers health queries
 /// and restart-due checks. See the module docs for the state machine.
 #[derive(Debug, Clone)]
-pub struct ShardSupervisor {
+pub(crate) struct ShardSupervisor {
     config: SupervisorConfig,
     records: Vec<ShardRecord>,
 }
@@ -98,28 +98,10 @@ impl ShardSupervisor {
         }
     }
 
-    /// The active policy.
-    #[must_use]
-    pub fn config(&self) -> &SupervisorConfig {
-        &self.config
-    }
-
-    /// `shard`'s current health.
-    #[must_use]
-    pub fn health(&self, shard: usize) -> ShardHealth {
-        self.records[shard].health
-    }
-
     /// Every shard's health, indexed by shard.
     #[must_use]
     pub fn healths(&self) -> Vec<ShardHealth> {
         self.records.iter().map(|r| r.health).collect()
-    }
-
-    /// Whether `shard` can accept traffic (everything but `Down`).
-    #[must_use]
-    pub fn is_live(&self, shard: usize) -> bool {
-        self.records[shard].health.is_live()
     }
 
     /// Liveness per shard, the mask [`crate::route_failover`] consumes.
@@ -203,8 +185,7 @@ impl ShardSupervisor {
 
     /// The deterministic restart delay for a shard's `n`-th consecutive
     /// failure (`n ≥ 1`), saturating at `u64::MAX`.
-    #[must_use]
-    pub fn backoff_ns(&self, failures: u32) -> u64 {
+    fn backoff_ns(&self, failures: u32) -> u64 {
         let shift = failures
             .saturating_sub(1)
             .min(self.config.backoff_max_shift);
@@ -224,26 +205,29 @@ mod tests {
     #[test]
     fn lifecycle_walks_all_four_states() {
         let mut s = supervisor();
-        assert_eq!(s.health(1), ShardHealth::Healthy);
-        assert!(s.is_live(1));
+        assert_eq!(s.healths()[1], ShardHealth::Healthy);
+        assert!(s.live_mask()[1]);
 
         let due = s.record_failure(1, 100);
         assert_eq!(due, 100 + 1_000_000, "first failure waits one base");
-        assert_eq!(s.health(1), ShardHealth::Down);
-        assert!(!s.is_live(1));
+        assert_eq!(s.healths()[1], ShardHealth::Down);
         assert_eq!(s.live_mask(), vec![true, false, true]);
         assert!(!s.restart_due(1, due - 1));
         assert!(s.restart_due(1, due));
 
         s.record_restart(1);
-        assert_eq!(s.health(1), ShardHealth::Recovering);
-        assert!(s.is_live(1), "a recovering shard takes traffic");
+        assert_eq!(s.healths()[1], ShardHealth::Recovering);
+        assert!(s.live_mask()[1], "a recovering shard takes traffic");
         assert_eq!(s.restarts(1), 1);
 
         s.record_clean_batch(1);
-        assert_eq!(s.health(1), ShardHealth::Degraded);
+        assert_eq!(s.healths()[1], ShardHealth::Degraded);
         s.record_clean_batch(1);
-        assert_eq!(s.health(1), ShardHealth::Healthy, "probation of 1 served");
+        assert_eq!(
+            s.healths()[1],
+            ShardHealth::Healthy,
+            "probation of 1 served"
+        );
         assert_eq!(s.total_restarts(), 1);
     }
 
@@ -297,6 +281,6 @@ mod tests {
         let mut s = supervisor();
         s.record_failure(2, 0);
         s.record_clean_batch(2);
-        assert_eq!(s.health(2), ShardHealth::Down);
+        assert_eq!(s.healths()[2], ShardHealth::Down);
     }
 }

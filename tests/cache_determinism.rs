@@ -40,13 +40,10 @@ fn config(workers: usize, capacity: usize) -> ServeConfig {
         queue_capacity: 64,
         max_batch: 3,
         linger_ns: 1_000,
-        default_deadline_ns: None,
         batch_seed: 0xCAC4_E5EE,
         threads: workers,
         slo: Default::default(),
         timeline: Default::default(),
-        feasibility: None,
-        brownout: None,
         cache: Some(CacheConfig { capacity }),
     }
 }

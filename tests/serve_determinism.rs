@@ -32,13 +32,10 @@ fn scripted_run(threads: usize) -> RunTrace {
             queue_capacity: 4,
             max_batch: 3,
             linger_ns: 1_000,
-            default_deadline_ns: None,
             batch_seed: 0x5E4E_D15C,
             threads,
             slo: Default::default(),
             timeline: Default::default(),
-            feasibility: None,
-            brownout: None,
             cache: None,
         },
         Arc::clone(&clock) as Arc<dyn ObsClock>,

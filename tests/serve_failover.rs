@@ -46,13 +46,10 @@ fn config(workers: usize) -> ServeConfig {
         queue_capacity: 64,
         max_batch: 3,
         linger_ns: 1_000,
-        default_deadline_ns: None,
         batch_seed: 0xC4A0_5D15,
         threads: workers,
         slo: Default::default(),
         timeline: Default::default(),
-        feasibility: None,
-        brownout: None,
         cache: None,
     }
 }

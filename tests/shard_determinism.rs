@@ -92,13 +92,10 @@ fn config(workers: usize) -> ServeConfig {
         queue_capacity: 64,
         max_batch: 3,
         linger_ns: 1_000,
-        default_deadline_ns: None,
         batch_seed: 0x5AAD_D15C,
         threads: workers,
         slo: Default::default(),
         timeline: Default::default(),
-        feasibility: None,
-        brownout: None,
         cache: None,
     }
 }

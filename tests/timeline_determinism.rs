@@ -100,7 +100,6 @@ fn config(workers: usize) -> ServeConfig {
         queue_capacity: 64,
         max_batch: 3,
         linger_ns: 1_000,
-        default_deadline_ns: None,
         batch_seed: 0x5AAD_D15C,
         threads: workers,
         slo: Default::default(),
@@ -110,8 +109,6 @@ fn config(workers: usize) -> ServeConfig {
             window_ns: 500,
             max_windows: 64,
         },
-        feasibility: None,
-        brownout: None,
         cache: None,
     }
 }
