@@ -512,23 +512,7 @@ pub fn cache_report(trace: &Trace) -> CacheReport {
 /// [`CliError::Gate`] when the span tree is empty or the trace sequence
 /// has gaps; [`CliError::Input`] on unreadable/unparsable files.
 pub fn summary(path: &Path) -> Result<String, CliError> {
-    let trace = load_trace(path)?;
-    if trace.span_count() == 0 {
-        return Err(CliError::Gate(format!(
-            "{}: span tree is empty ({} trace records, {} non-trace lines)",
-            path.display(),
-            trace.trace_records,
-            trace.skipped_records
-        )));
-    }
-    if !trace.seq_gaps.is_empty() {
-        return Err(CliError::Gate(format!(
-            "{}: trace sequence has {} gap(s): {:?}",
-            path.display(),
-            trace.seq_gaps.len(),
-            trace.seq_gaps
-        )));
-    }
+    let trace = load_healthy_trace(path)?;
     let mut out = trace.render_summary();
     out.push_str(&fault_health(&trace).render());
     out.push_str(&shard_health(&trace).render());
@@ -561,14 +545,7 @@ fn request_paths_checked<'t>(
     path: &Path,
     request: u64,
 ) -> Result<Vec<Vec<&'t canti_obs::SpanNode>>, CliError> {
-    if !trace.seq_gaps.is_empty() {
-        return Err(CliError::Gate(format!(
-            "{}: trace sequence has {} gap(s): {:?}",
-            path.display(),
-            trace.seq_gaps.len(),
-            trace.seq_gaps
-        )));
-    }
+    gap_free(trace, path)?;
     let paths = trace.request_paths(request);
     if paths.is_empty() {
         return Err(CliError::Gate(format!(
@@ -743,6 +720,36 @@ fn load_trace(path: &Path) -> Result<Trace, CliError> {
     Trace::from_ndjson(&text).map_err(|e| CliError::Input(format!("{}: {e}", path.display())))
 }
 
+/// The artifact-health gate [`summary`] and [`summary_json`] share:
+/// [`load_trace`], then fail on an empty span tree or sequence gaps.
+fn load_healthy_trace(path: &Path) -> Result<Trace, CliError> {
+    let trace = load_trace(path)?;
+    if trace.span_count() == 0 {
+        return Err(CliError::Gate(format!(
+            "{}: span tree is empty ({} trace records, {} non-trace lines)",
+            path.display(),
+            trace.trace_records,
+            trace.skipped_records
+        )));
+    }
+    gap_free(&trace, path)?;
+    Ok(trace)
+}
+
+/// Fails when the trace sequence has gaps: records were lost, so no
+/// tree built over it can be called healthy.
+fn gap_free(trace: &Trace, path: &Path) -> Result<(), CliError> {
+    if trace.seq_gaps.is_empty() {
+        return Ok(());
+    }
+    Err(CliError::Gate(format!(
+        "{}: trace sequence has {} gap(s): {:?}",
+        path.display(),
+        trace.seq_gaps.len(),
+        trace.seq_gaps
+    )))
+}
+
 /// Machine-readable [`summary`]: the same artifact-health gates, but
 /// fixed-field NDJSON output — one `trace_health` line, one `stage`
 /// line per span name, one `critical` line per critical-path hop, one
@@ -754,23 +761,7 @@ fn load_trace(path: &Path) -> Result<Trace, CliError> {
 pub fn summary_json(path: &Path) -> Result<String, CliError> {
     use canti_obs::ndjson::{self, JsonValue};
 
-    let trace = load_trace(path)?;
-    if trace.span_count() == 0 {
-        return Err(CliError::Gate(format!(
-            "{}: span tree is empty ({} trace records, {} non-trace lines)",
-            path.display(),
-            trace.trace_records,
-            trace.skipped_records
-        )));
-    }
-    if !trace.seq_gaps.is_empty() {
-        return Err(CliError::Gate(format!(
-            "{}: trace sequence has {} gap(s): {:?}",
-            path.display(),
-            trace.seq_gaps.len(),
-            trace.seq_gaps
-        )));
-    }
+    let trace = load_healthy_trace(path)?;
 
     let mut out = String::new();
     out.push_str(&ndjson::object(&[
