@@ -243,13 +243,18 @@ impl ExpositionServer {
         )
     }
 
-    /// [`Self::bind_sharded`] plus debug sources (see
-    /// [`Self::bind_debug`]).
+    /// Binds `addr` and serves the **merged** per-shard exposition: each
+    /// `(label, registry)` pair in `shards` contributes its series
+    /// tagged `shard="<label>"`, rendered together by
+    /// [`render_prometheus_sharded`] on every `/metrics` scrape, plus
+    /// `debug`'s sources (see [`Self::bind_debug`]; an empty
+    /// [`DebugState`] serves none). Runs 2 worker threads; shard order
+    /// fixes the series order.
     ///
     /// # Errors
     ///
     /// Propagates bind / clone failures.
-    pub fn bind_sharded_debug(
+    pub fn bind_sharded(
         addr: &str,
         shards: Vec<(String, Arc<Metrics>)>,
         debug: DebugState,
@@ -260,40 +265,6 @@ impl ExpositionServer {
             debug,
             2,
             DEFAULT_IO_TIMEOUT,
-        )
-    }
-
-    /// Binds `addr` and serves the **merged** per-shard exposition: each
-    /// `(label, registry)` pair in `shards` contributes its series
-    /// tagged `shard="<label>"`, rendered together by
-    /// [`render_prometheus_sharded`] on every `/metrics` scrape. Runs
-    /// 2 worker threads; shard order fixes the series order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind / clone failures.
-    pub fn bind_sharded(addr: &str, shards: Vec<(String, Arc<Metrics>)>) -> std::io::Result<Self> {
-        Self::bind_sharded_with_options(addr, shards, 2, DEFAULT_IO_TIMEOUT)
-    }
-
-    /// [`Self::bind_sharded`] with explicit worker count (clamped to
-    /// ≥ 1) and per-connection I/O timeout (clamped to ≥ 1 ms).
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind / clone failures.
-    pub fn bind_sharded_with_options(
-        addr: &str,
-        shards: Vec<(String, Arc<Metrics>)>,
-        workers: usize,
-        io_timeout: Duration,
-    ) -> std::io::Result<Self> {
-        Self::bind_registry(
-            addr,
-            Registry::Sharded(shards),
-            DebugState::default(),
-            workers,
-            io_timeout,
         )
     }
 
@@ -706,6 +677,7 @@ mod tests {
         let server = ExpositionServer::bind_sharded(
             "127.0.0.1:0",
             vec![("0".to_owned(), s0), ("1".to_owned(), s1)],
+            DebugState::default(),
         )
         .unwrap();
         let body = server.scrape("/metrics").unwrap();

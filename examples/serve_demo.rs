@@ -339,7 +339,7 @@ fn run_cache(shards: usize, telemetry: bool) {
         ..DebugState::default()
     };
     let server =
-        ExpositionServer::bind_sharded_debug("127.0.0.1:0", sources, debug).expect("bind server");
+        ExpositionServer::bind_sharded("127.0.0.1:0", sources, debug).expect("bind server");
     println!(
         "cache drill: {shards} shard(s), capacity {} per shard, http://{}",
         CacheConfig::default().capacity,
@@ -583,8 +583,8 @@ fn main() {
         readiness: Some(readiness),
     };
     let shard0_metrics = Arc::clone(&sources[0].1);
-    let server = ExpositionServer::bind_sharded_debug(&addr, sources, debug)
-        .expect("bind exposition server");
+    let server =
+        ExpositionServer::bind_sharded(&addr, sources, debug).expect("bind exposition server");
     println!(
         "serving /metrics /healthz /debug/requests /debug/slo /debug/timeline on http://{}  \
          ({requests} requests, {submitters} submitters, batch<={batch}, {shards} shard(s))",
