@@ -3,7 +3,7 @@
 # the workspace exactly once per profile and reports per-phase wall time.
 #
 #   scripts/ci.sh          # release build -> release tests (reusing the
-#                          # build) -> serve tests in debug -> clippy
+#                          # build) -> serve + obs tests in debug -> clippy
 #                          # --all-targets -> fmt --check -> rustdoc with
 #                          # warnings denied
 #   scripts/ci.sh smoke    # the above, then:
@@ -87,11 +87,12 @@ cargo test -q --release --workspace
 phase_end
 
 phase_begin "serve tests (debug)"
-# the serve crate and its determinism/golden binaries again in the debug
-# profile, where overflow checks and debug assertions are live (the
-# release run above compiles them out); obs_pipeline stays release-only
-# until its debug flake is fixed
+# the serve and obs crates and the serve determinism/golden binaries
+# again in the debug profile, where overflow checks and debug assertions
+# are live (the release run above compiles them out); obs_pipeline stays
+# release-only until its debug flake is fixed
 cargo test -q -p canti-serve
+cargo test -q -p canti-obs -p canti-obsctl
 cargo test -q --test serve_determinism --test shard_determinism --test serve_failover \
     --test cache_determinism --test timeline_determinism --test request_trace_golden
 phase_end
