@@ -43,8 +43,8 @@ pub struct ServeStats {
     /// Admitted requests answered [`RejectReason::ShardFailed`] because
     /// their shard died before their batch completed.
     pub failed: u64,
-    /// Always 0: the serving layer no longer sheds. Kept so callers that
-    /// build a `ServeStats` by field name keep compiling.
+    /// Always 0; kept so callers that build a `ServeStats` by field
+    /// name keep compiling.
     pub shed: u64,
     /// Requests answered straight from the content-addressed result
     /// cache (also counted in `admitted` and `completed`).

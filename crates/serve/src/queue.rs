@@ -120,9 +120,9 @@ pub(crate) struct Pending {
     /// Fixed at admission so the payload is independent of which batch,
     /// slot or shard the request later rides in.
     pub seed: u64,
-    /// The request-scoped trace id: [`canti_obs::trace_id`] over the
-    /// same key the seed derives from, so every span the request touches
-    /// carries one stable id at any worker or shard count.
+    /// The request-scoped trace id: [`canti_obs::trace_id`] over `key`,
+    /// so every span the request touches carries one stable id at any
+    /// worker or shard count.
     pub trace: u64,
     /// The request's **global** id, assigned by the router: the trace
     /// (and, with the cache off, the seed) derive from it, and

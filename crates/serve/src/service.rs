@@ -25,9 +25,9 @@
 //! # Lock order
 //!
 //! The router lock (ids, placement, the shard supervisor) comes before
-//! any shard's core lock. Submitters and the supervisor
-//! thread take router then core; a batcher reports to the supervisor
-//! only while it holds no core lock.
+//! any shard's core lock. Submitters and the supervisor thread take
+//! router then core; a batcher reports to the supervisor only while it
+//! holds no core lock.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
