@@ -114,7 +114,11 @@ pub(crate) struct ShardCore {
     instruments: Option<crate::exec::ServeInstruments>,
     spans: BTreeMap<u64, SpanGuard>,
     stats: ServeStats,
-    batch_log: Vec<BatchRecord>,
+    /// Every formed batch, kept only for its reader, the pumped
+    /// engine's [`ServeEngine::batch_log`]; `None` in the threaded
+    /// service, which would otherwise grow it by a record per batch for
+    /// as long as it runs.
+    batch_log: Option<Vec<BatchRecord>>,
     /// The shard's content-addressed result cache, shared with the
     /// executor (lookups here, inserts there). `None` with caching off.
     cache: Option<Arc<std::sync::Mutex<crate::cache::ReportCache>>>,
@@ -147,7 +151,7 @@ impl ShardCore {
             instruments: None,
             spans: BTreeMap::new(),
             stats: ServeStats::default(),
-            batch_log: Vec::new(),
+            batch_log: None,
             cache,
             hits: Vec::new(),
             executor,
@@ -491,13 +495,26 @@ impl ShardCore {
         self.stats.batches = self.queue.batches_formed();
     }
 
+    /// Starts keeping the batch log (the pumped engine's shards).
+    fn keep_batch_log(mut self) -> Self {
+        self.batch_log = Some(Vec::new());
+        self
+    }
+
+    /// The batches logged so far: empty unless the log is kept.
+    pub(crate) fn batch_log(&self) -> &[BatchRecord] {
+        self.batch_log.as_deref().unwrap_or_default()
+    }
+
     fn log_batch(&mut self, batch: &FormedBatch) {
-        self.batch_log.push(BatchRecord {
-            index: batch.index,
-            trigger: batch.trigger,
-            seed: batch.seed,
-            request_ids: batch.request_ids(),
-        });
+        if let Some(log) = &mut self.batch_log {
+            log.push(BatchRecord {
+                index: batch.index,
+                trigger: batch.trigger,
+                seed: batch.seed,
+                request_ids: batch.request_ids(),
+            });
+        }
     }
 
     fn observe_depth(&self) {
@@ -1060,7 +1077,7 @@ impl ServeEngine {
         let n = config.shard_count();
         Self {
             shards: (0..n)
-                .map(|i| ShardCore::new(i, config.base, Arc::clone(&clock)))
+                .map(|i| ShardCore::new(i, config.base, Arc::clone(&clock)).keep_batch_log())
                 .collect(),
             router: Router::new(n, SupervisorConfig::default()),
             clock,
@@ -1216,7 +1233,7 @@ impl ServeEngine {
     /// Panics when `shard` is out of range.
     #[must_use]
     pub fn batch_log(&self, shard: usize) -> Vec<BatchRecord> {
-        self.shards[shard].batch_log.clone()
+        self.shards[shard].batch_log().to_vec()
     }
 
     fn each<R>(&self, f: impl Fn(&ShardCore) -> R) -> Vec<R> {
@@ -1251,6 +1268,7 @@ mod tests {
             &clock,
             ServeConfig {
                 max_batch: 2,
+                linger_ns: u64::MAX, // only size can fire
                 threads: 1,
                 ..ServeConfig::default()
             },
@@ -1265,6 +1283,41 @@ mod tests {
         assert_eq!(e.batch_log(0)[0].trigger, BatchTrigger::Size);
         assert_eq!(e.batch_log(0)[0].request_ids, vec![0, 1]);
         assert_eq!(e.stats().completed, 2);
+    }
+
+    #[test]
+    fn default_formation_is_work_conserving() {
+        let clock = Arc::new(VirtualClock::new());
+        let mut e = engine(
+            &clock,
+            ServeConfig {
+                threads: 1,
+                ..ServeConfig::default()
+            },
+        );
+        clock.advance_ns(100);
+        // a lone request: the first pump answers it, the clock unmoved
+        e.submit(probe(1.0)).unwrap();
+        assert_eq!(e.next_wakeup_ns(), Some(100), "ready the moment it queues");
+        let lone = e.pump();
+        assert_eq!(lone.len(), 1);
+        assert!(matches!(
+            lone[0].disposition,
+            Disposition::Completed { latency_ns: 0, .. }
+        ));
+        assert_eq!(e.batch_log(0)[0].trigger, BatchTrigger::Linger);
+        assert_eq!(e.next_wakeup_ns(), None);
+        // what queued before the pump rides one batch, in admission order
+        for v in [2.0, 3.0, 4.0] {
+            e.submit(probe(v)).unwrap();
+            assert_eq!(e.next_wakeup_ns(), Some(100));
+        }
+        let ids: Vec<u64> = e.pump().iter().map(|r| r.request_id).collect();
+        assert_eq!(ids, vec![1, 2, 3]);
+        let log = e.batch_log(0);
+        assert_eq!(log.len(), 2);
+        assert_eq!(log[1].trigger, BatchTrigger::Linger);
+        assert_eq!(log[1].request_ids, vec![1, 2, 3]);
     }
 
     #[test]

@@ -16,8 +16,13 @@
 //! * **Micro-batching** — queued requests are coalesced into a single
 //!   [`canti_farm::Farm`] batch when either the size threshold
 //!   ([`ServeConfig::max_batch`]) is reached or the oldest waiting
-//!   request has lingered for [`ServeConfig::linger_ns`]. Both decisions
-//!   read the injected [`canti_obs::ObsClock`], never the OS clock.
+//!   request has lingered for [`ServeConfig::linger_ns`]. The default
+//!   linger is 0: formation is work-conserving, so a free batcher forms
+//!   its batch from whatever is queued at once, and requests that arrive
+//!   while a batch executes form the next one (batches still grow under
+//!   load). A positive linger trades that much latency for fuller
+//!   batches and a wider coalescing window. Both decisions read the
+//!   injected [`canti_obs::ObsClock`], never the OS clock.
 //! * **Per-request deadlines** — a request submitted with a deadline
 //!   (`submit_with_deadline`) and still waiting when it passes is
 //!   answered [`Disposition::Expired`] rather than occupying a batch
@@ -111,6 +116,14 @@ pub struct ServeConfig {
     pub max_batch: usize,
     /// Linger deadline: a non-full batch fires once the *oldest* queued
     /// request has waited this long (on the serve clock).
+    ///
+    /// The default, 0, is work-conserving formation: every queued
+    /// request is ready at once, so a free batcher never idles while
+    /// anything waits, and batches grow only from what queued behind a
+    /// busy one. A positive linger holds a partial batch open for that
+    /// long, buying fuller batches (fewer, larger farm runs) and a
+    /// window in which identical submissions coalesce onto a queued
+    /// leader, at the cost of up to one linger of added latency.
     pub linger_ns: u64,
     /// Base serve seed. Each admitted request's RNG stream derives from
     /// [`shard::request_seed`] over this base and the request key, so a
@@ -144,7 +157,7 @@ impl Default for ServeConfig {
         Self {
             queue_capacity: 64,
             max_batch: 16,
-            linger_ns: 1_000_000, // 1 ms
+            linger_ns: 0, // work-conserving: form at once
             batch_seed: 0x5E4E_2026,
             threads: 0,
             slo: SloConfig::default(),
@@ -184,5 +197,6 @@ mod tests {
         let d = ServeConfig::default();
         assert_eq!(d.capacity(), 64);
         assert_eq!(d.batch_threshold(), 16);
+        assert_eq!(d.linger_ns, 0, "formation is work-conserving by default");
     }
 }

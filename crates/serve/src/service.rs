@@ -545,6 +545,33 @@ mod tests {
     }
 
     #[test]
+    fn a_long_running_service_keeps_no_batch_log() {
+        let service = ShardedService::start(ShardedConfig {
+            shards: 2,
+            base: ServeConfig {
+                threads: 1,
+                ..ServeConfig::default()
+            },
+        });
+        for wave in 0..10 {
+            let tickets: Vec<ShardTicket> = (0..30)
+                .map(|i| {
+                    service
+                        .submit(probe(f64::from(wave * 30 + i)))
+                        .expect("admitted")
+                })
+                .collect();
+            for t in tickets {
+                assert!(t.wait().disposition.is_ok());
+            }
+        }
+        assert_eq!(service.each(|c| c.batch_log().len()), vec![0, 0]);
+        let stats = service.shutdown();
+        assert_eq!(stats.iter().map(|s| s.completed).sum::<u64>(), 300);
+        assert!(stats.iter().all(|s| s.batches > 0));
+    }
+
+    #[test]
     fn full_queue_rejects_fast() {
         // Huge linger + threshold so nothing drains the queue.
         let service = ShardedService::start(one(ServeConfig {

@@ -87,14 +87,16 @@ cargo test -q --release --workspace
 phase_end
 
 phase_begin "serve tests (debug)"
-# the serve and obs crates and the serve determinism/golden binaries
-# again in the debug profile, where overflow checks and debug assertions
-# are live (the release run above compiles them out); obs_pipeline stays
+# the serve and obs crates, the serve determinism/golden binaries and
+# the serve routing, trace-id and SLO-merge properties again in the
+# debug profile, where overflow checks and debug assertions are live
+# (the release run above compiles them out); obs_pipeline stays
 # release-only until its debug flake is fixed
 cargo test -q -p canti-serve
 cargo test -q -p canti-obs -p canti-obsctl
 cargo test -q --test serve_determinism --test shard_determinism --test serve_failover \
-    --test cache_determinism --test timeline_determinism --test request_trace_golden
+    --test cache_determinism --test timeline_determinism --test request_trace_golden \
+    --test shard_routing_props --test trace_id_props --test slo_merge_props
 phase_end
 
 phase_begin "clippy --all-targets (-D warnings)"
@@ -310,8 +312,10 @@ mkdir -p target
 for i in "${!phase_names[@]}"; do
     line=$(printf '  %-48s %4ds' "${phase_names[$i]}" "${phase_secs[$i]}")
     if [[ -s "$phases_prev" ]]; then
+        # a phase the previous run did not have (a plain run before a
+        # smoke run) has no delta; grep's no-match must not end the run
         prev_secs=$(grep -F "\"name\":\"${phase_names[$i]}\"" "$phases_prev" \
-            | head -1 | sed -n 's/.*"secs":\([0-9]*\).*/\1/p')
+            | head -1 | sed -n 's/.*"secs":\([0-9]*\).*/\1/p' || true)
         if [[ -n "$prev_secs" ]]; then
             line="$line  (prev ${prev_secs}s, $((phase_secs[i] - prev_secs))s delta)"
         fi
