@@ -7,11 +7,14 @@
 //! artifact (metric dumps, farm stage records) are counted and skipped,
 //! so the analyzer can be pointed at a whole `farm_telemetry.ndjson`.
 //!
-//! Because workers interleave their spans on the shared sequence, strict
-//! nesting does not hold; reconstruction matches each `span_end` to the
-//! **innermost open span of the same name** (LIFO per name), which is
-//! exact for single-threaded traces and a deterministic, conservative
-//! approximation for interleaved ones.
+//! Each `span_end` names its `span_start` by sequence number (its
+//! `span` field), so start and end pair exactly even where workers
+//! interleave spans of one name on the shared sequence. A closed span
+//! hangs under the innermost span opened before it and still open: its
+//! parent in a single-threaded trace, and a span containing it in time
+//! where threads interleave. An end that names no open start is a
+//! reported defect ([`Trace::stray_ends`]) unless the ring evicted that
+//! start.
 //!
 //! # Examples
 //!
@@ -156,6 +159,10 @@ pub struct Trace {
     pub seq_gaps: Vec<(u64, u64)>,
     /// Spans that never closed (name, seq).
     pub unclosed: Vec<(String, u64)>,
+    /// `span_end` records (name, seq) that name no open `span_start`
+    /// and no start from before the first retained record (which a
+    /// ring evicted): an artifact that has them lost or garbled data.
+    pub stray_ends: Vec<(String, u64)>,
     /// Names of instantaneous events recorded while no span was open
     /// (seq order). Admission-time telemetry (cache hits, coalescing)
     /// lands here whenever it fires outside a request span, so
@@ -184,6 +191,7 @@ impl Trace {
             kind: String,
             name: String,
             dur_ns: Option<u64>,
+            span: Option<u64>,
             request: Option<u64>,
             trace_id: Option<u64>,
         }
@@ -207,6 +215,7 @@ impl Trace {
                 kind: kind.to_owned(),
                 name: name.to_owned(),
                 dur_ns: field("dur_ns"),
+                span: field("span"),
                 request: field("request"),
                 trace_id: field("trace"),
             });
@@ -219,17 +228,13 @@ impl Trace {
             .map(|w| (w[0].seq, w[1].seq))
             .collect();
 
-        // open-span stack; span_end pops the innermost same-name frame
+        // open spans in start order; a span_end removes exactly the
+        // frame its `span` field names
+        let first_seq = records.first().map_or(0, |r| r.seq);
         let mut roots: Vec<SpanNode> = Vec::new();
         let mut stack: Vec<SpanNode> = Vec::new();
         let mut orphan_events: Vec<String> = Vec::new();
-        let attach =
-            |stack: &mut Vec<SpanNode>, roots: &mut Vec<SpanNode>, node: SpanNode| match stack
-                .last_mut()
-            {
-                Some(parent) => parent.children.push(node),
-                None => roots.push(node),
-            };
+        let mut stray_ends: Vec<(String, u64)> = Vec::new();
         for rec in &records {
             let Rec {
                 seq,
@@ -237,6 +242,7 @@ impl Trace {
                 kind,
                 name,
                 dur_ns,
+                span,
                 request,
                 trace_id,
             } = rec;
@@ -252,18 +258,22 @@ impl Trace {
                     events: Vec::new(),
                 }),
                 "span_end" => {
-                    let Some(pos) = stack.iter().rposition(|s| &s.name == name) else {
-                        continue; // stray end (e.g. ring evicted the start)
+                    let Some(pos) = span.and_then(|id| stack.iter().position(|s| s.seq == id))
+                    else {
+                        if span.is_none_or(|id| id >= first_seq) {
+                            stray_ends.push((name.clone(), *seq));
+                        }
+                        continue;
                     };
-                    // anything opened after the match and never closed
-                    // folds into it as a child
+                    // spans opened after it and still open belong to
+                    // other threads: they stay open where they are
                     let mut node = stack.remove(pos);
-                    for orphan in stack.split_off(pos) {
-                        node.children.push(orphan);
-                    }
                     node.dur_ns =
                         Some(dur_ns.unwrap_or_else(|| t_ns.saturating_sub(node.start_ns)));
-                    attach(&mut stack, &mut roots, node);
+                    match pos.checked_sub(1) {
+                        Some(parent) => stack[parent].children.push(node),
+                        None => roots.push(node),
+                    }
                 }
                 "event" => {
                     if let Some(open) = stack.last_mut() {
@@ -276,9 +286,7 @@ impl Trace {
             }
         }
         let unclosed: Vec<(String, u64)> = stack.iter().map(|s| (s.name.clone(), s.seq)).collect();
-        for orphan in stack {
-            roots.push(orphan);
-        }
+        roots.extend(stack);
 
         Trace {
             roots,
@@ -286,6 +294,7 @@ impl Trace {
             skipped_records: skipped,
             seq_gaps,
             unclosed,
+            stray_ends,
             orphan_events,
         }
     }
@@ -568,7 +577,7 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_same_name_spans_match_lifo() {
+    fn nested_same_name_spans_close_their_own_start() {
         // two "job" spans open concurrently; ends pop innermost first
         let trace = traced(|tracer, clock| {
             let a = tracer.span("job", &[]);
@@ -582,6 +591,74 @@ mod tests {
         assert_eq!(trace.roots.len(), 1);
         assert_eq!(trace.roots[0].dur_ns, Some(16));
         assert_eq!(trace.roots[0].children[0].dur_ns, Some(5));
+    }
+
+    #[test]
+    fn crossed_spans_keep_every_duration() {
+        // one worker's job opens inside another's still-open solve, and
+        // the solve closes first: each end still closes its own start
+        let trace = traced(|tracer, clock| {
+            let batch = tracer.span("batch", &[]);
+            let job_a = tracer.span("job", &[]);
+            let solve_a = tracer.span("solve", &[]);
+            clock.advance_ns(10);
+            let job_b = tracer.span("job", &[]);
+            clock.advance_ns(20);
+            solve_a.end();
+            clock.advance_ns(40);
+            job_b.end();
+            clock.advance_ns(80);
+            job_a.end();
+            drop(batch);
+        });
+        assert!(trace.unclosed.is_empty() && trace.stray_ends.is_empty());
+        assert_eq!(trace.roots.len(), 1);
+        let mut jobs = Vec::new();
+        fn collect<'t>(node: &'t SpanNode, out: &mut Vec<&'t SpanNode>) {
+            if node.name == "job" {
+                out.push(node);
+            }
+            node.children.iter().for_each(|c| collect(c, out));
+        }
+        collect(&trace.roots[0], &mut jobs);
+        jobs.sort_by_key(|s| s.seq);
+        let durs: Vec<_> = jobs.iter().map(|s| s.dur_ns).collect();
+        assert_eq!(durs, [Some(150), Some(60)]);
+        let stats = trace.stage_stats();
+        let count = |name: &str| stats.iter().find(|(n, _)| n == name).map(|(_, s)| s.count);
+        assert_eq!((count("job"), count("solve")), (Some(2), Some(1)));
+        assert_eq!(trace.roots[0].dur_ns, Some(150));
+    }
+
+    #[test]
+    fn stray_ends_are_reported_unless_the_ring_evicted_the_start() {
+        let stray = "{\"seq\":0,\"t_ns\":0,\"kind\":\"span_start\",\"name\":\"a\"}\n\
+                     {\"seq\":1,\"t_ns\":5,\"kind\":\"span_end\",\"name\":\"b\",\
+                     \"fields\":{\"dur_ns\":5,\"span\":0}}\n\
+                     {\"seq\":2,\"t_ns\":6,\"kind\":\"span_end\",\"name\":\"a\",\
+                     \"fields\":{\"dur_ns\":6}}\n";
+        let trace = Trace::from_ndjson(stray).unwrap();
+        assert_eq!(
+            trace.stray_ends,
+            vec![("a".to_owned(), 2)],
+            "an end without a span id"
+        );
+        assert_eq!(
+            trace.roots[0].dur_ns,
+            Some(5),
+            "the id decides, not the name"
+        );
+
+        // a ring that evicted a span's start leaves only its end behind
+        let ring = Arc::new(RingCollector::new(2));
+        let clock = Arc::new(VirtualClock::new());
+        let tracer = Tracer::new(Arc::clone(&ring) as _, Arc::clone(&clock) as _);
+        let early = tracer.span("early", &[]);
+        tracer.event("filler", &[]);
+        drop(early);
+        let trace = Trace::from_ndjson(&ring.to_ndjson()).unwrap();
+        assert!(trace.stray_ends.is_empty(), "{:?}", trace.stray_ends);
+        assert_eq!(trace.orphan_events, vec!["filler"]);
     }
 
     #[test]

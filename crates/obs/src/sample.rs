@@ -124,9 +124,9 @@ struct PendingTrace {
 struct State {
     /// Buffered events per undecided trace.
     pending: BTreeMap<u64, PendingTrace>,
-    /// LIFO of open `request` spans' trace ids — span ends carry no
-    /// trace field, so they pop the innermost open request span.
-    open_requests: Vec<u64>,
+    /// Open `request` spans as `(span id, trace id)` — a span end
+    /// carries no trace field, only the `span` id of its start.
+    open_requests: Vec<(u64, u64)>,
     kept: VecDeque<KeptTrace>,
     kept_events: usize,
     decided: u64,
@@ -278,16 +278,23 @@ impl Collector for FlightRecorder {
                 pending.error = true;
             }
             let is_request_start = event.kind == EventKind::SpanStart && event.name == "request";
+            let seq = event.seq;
             pending.events.push(event);
             if is_request_start {
-                state.open_requests.push(trace);
+                state.open_requests.push((seq, trace));
             }
         } else if event.kind == EventKind::SpanEnd && event.name == "request" {
-            // the end record carries only dur_ns: LIFO-match it to the
-            // innermost open request span, as the analyzer does
-            let Some(trace) = state.open_requests.pop() else {
+            // the end record names its start by span id, as the analyzer
+            // pairs them
+            let span = event.field("span");
+            let Some(pos) = state
+                .open_requests
+                .iter()
+                .position(|(id, _)| span == Some(&JsonValue::U64(*id)))
+            else {
                 return;
             };
+            let (_, trace) = state.open_requests.remove(pos);
             let dur_ns = match event.field("dur_ns") {
                 Some(JsonValue::U64(d)) => *d,
                 _ => 0,
@@ -392,7 +399,7 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_request_spans_match_lifo() {
+    fn nested_request_spans_close_their_own_trace() {
         let (flight, clock, tracer) = recorder(SampleConfig {
             head_modulus: 1,
             objective_ns: u64::MAX,
@@ -408,6 +415,28 @@ mod tests {
         assert_eq!(
             kept.iter().map(|t| (t.trace, t.dur_ns)).collect::<Vec<_>>(),
             vec![(11, 3), (10, 8)]
+        );
+    }
+
+    #[test]
+    fn crossed_request_spans_close_their_own_trace() {
+        // the older request answers first, as a size-filled batch does
+        let (flight, clock, tracer) = recorder(SampleConfig {
+            head_modulus: 1,
+            objective_ns: u64::MAX,
+            max_events: 1024,
+        });
+        let a = request_span(&tracer, 0, 10);
+        clock.advance_ns(5);
+        let b = request_span(&tracer, 1, 11);
+        clock.advance_ns(3);
+        a.end(); // dur 8 → trace 10
+        clock.advance_ns(4);
+        b.end(); // dur 7 → trace 11
+        let kept = flight.kept();
+        assert_eq!(
+            kept.iter().map(|t| (t.trace, t.dur_ns)).collect::<Vec<_>>(),
+            vec![(10, 8), (11, 7)]
         );
     }
 

@@ -86,7 +86,8 @@ pub fn trace_id(request: u64) -> u64 {
 pub enum EventKind {
     /// A span opened.
     SpanStart,
-    /// A span closed (carries a `dur_ns` field).
+    /// A span closed (carries `dur_ns` and `span` fields; `span` is
+    /// the `seq` of the matching [`EventKind::SpanStart`]).
     SpanEnd,
     /// An instantaneous event.
     Event,
@@ -321,16 +322,20 @@ impl Tracer {
         self.inner.as_ref().map_or(0, |i| i.clock.now_ns())
     }
 
-    fn emit(&self, kind: EventKind, name: &str, fields: &[(&'static str, JsonValue)]) {
-        let Some(inner) = &self.inner else { return };
+    /// Records one event and returns its sequence number (0 when
+    /// disabled).
+    fn emit(&self, kind: EventKind, name: &str, fields: &[(&'static str, JsonValue)]) -> u64 {
+        let Some(inner) = &self.inner else { return 0 };
+        let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
         let event = TraceEvent {
-            seq: inner.seq.fetch_add(1, Ordering::Relaxed),
+            seq,
             t_ns: inner.clock.now_ns(),
             kind,
             name: name.to_owned(),
             fields: fields.to_vec(),
         };
         inner.collector.record(event);
+        seq
     }
 
     /// Records an instantaneous event.
@@ -339,14 +344,17 @@ impl Tracer {
     }
 
     /// Opens a span; the returned guard records the matching
-    /// `span_end` (with a `dur_ns` field) when dropped or
-    /// [`SpanGuard::end`]ed.
+    /// `span_end` (with `dur_ns` and `span` fields) when dropped or
+    /// [`SpanGuard::end`]ed. The span's id is the `seq` of its
+    /// `span_start`, so a reader pairs start and end exactly even when
+    /// threads interleave spans of one name on the shared sequence.
     #[must_use]
     pub fn span(&self, name: &str, fields: &[(&'static str, JsonValue)]) -> SpanGuard {
-        self.emit(EventKind::SpanStart, name, fields);
+        let id = self.emit(EventKind::SpanStart, name, fields);
         SpanGuard {
             tracer: self.clone(),
             name: name.to_owned(),
+            id,
             start_ns: self.now_ns(),
             done: !self.is_enabled(),
         }
@@ -358,6 +366,7 @@ impl Tracer {
 pub struct SpanGuard {
     tracer: Tracer,
     name: String,
+    id: u64,
     start_ns: u64,
     done: bool,
 }
@@ -380,8 +389,11 @@ impl SpanGuard {
         }
         self.done = true;
         let dur = self.elapsed_ns();
-        self.tracer
-            .emit(EventKind::SpanEnd, &self.name, &[("dur_ns", dur.into())]);
+        self.tracer.emit(
+            EventKind::SpanEnd,
+            &self.name,
+            &[("dur_ns", dur.into()), ("span", self.id.into())],
+        );
         dur
     }
 }
@@ -433,6 +445,7 @@ mod tests {
         assert_eq!(events[1].kind, EventKind::SpanEnd);
         assert_eq!(events[1].name, "work");
         assert_eq!(events[1].field("dur_ns"), Some(&JsonValue::U64(250)));
+        assert_eq!(events[1].field("span"), Some(&JsonValue::U64(0)));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //!
 //! * [`summary`] — parse a telemetry NDJSON artifact, reconstruct the
 //!   span tree, print per-stage aggregates and the critical path;
-//!   **fails** (the CI gate) when the span tree is empty or the trace
-//!   sequence has gaps,
+//!   **fails** (the CI gate) when the span tree is empty, the trace
+//!   sequence has gaps or a span end matches no start,
 //! * [`flame`] — folded-stack flamegraph lines from the same artifact
 //!   (pipe into `flamegraph.pl` / inferno),
 //! * [`diff`] — compare per-stage `p50`/`p95`/`p99` between two bench or
@@ -16,7 +16,8 @@
 //! * [`trace_request`] — reconstruct one request's span chain (admission
 //!   `request` span through the farm `job` span that executed it) and
 //!   its critical path; **fails** when the request is absent, orphaned
-//!   (no admission-side span), unclosed, or the sequence has gaps —
+//!   (no admission-side span), unclosed, or the sequence has gaps or
+//!   unmatched span ends —
 //!   the serve-artifact health gate,
 //! * [`slo_report`] — recompute deterministic SLO windows offline from
 //!   the closed `request` spans in an artifact, for auditing the live
@@ -509,8 +510,9 @@ pub fn cache_report(trace: &Trace) -> CacheReport {
 ///
 /// # Errors
 ///
-/// [`CliError::Gate`] when the span tree is empty or the trace sequence
-/// has gaps; [`CliError::Input`] on unreadable/unparsable files.
+/// [`CliError::Gate`] when the span tree is empty, the trace sequence
+/// has gaps or a span end matches no start; [`CliError::Input`] on
+/// unreadable/unparsable files.
 pub fn summary(path: &Path) -> Result<String, CliError> {
     let trace = load_healthy_trace(path)?;
     let mut out = trace.render_summary();
@@ -545,7 +547,7 @@ fn request_paths_checked<'t>(
     path: &Path,
     request: u64,
 ) -> Result<Vec<Vec<&'t canti_obs::SpanNode>>, CliError> {
-    gap_free(trace, path)?;
+    intact(trace, path)?;
     let paths = trace.request_paths(request);
     if paths.is_empty() {
         return Err(CliError::Gate(format!(
@@ -585,7 +587,8 @@ fn request_paths_checked<'t>(
 /// # Errors
 ///
 /// [`CliError::Gate`] when the artifact is unhealthy for this request —
-/// the trace sequence has gaps, no span carries the request id, the
+/// the trace sequence has gaps or a span end matches no start, no span
+/// carries the request id, the
 /// request is orphaned (farm spans reference it but no admission-side
 /// `request` span exists), or an owning span never closed.
 /// [`CliError::Input`] on unreadable/unparsable files.
@@ -721,7 +724,8 @@ fn load_trace(path: &Path) -> Result<Trace, CliError> {
 }
 
 /// The artifact-health gate [`summary`] and [`summary_json`] share:
-/// [`load_trace`], then fail on an empty span tree or sequence gaps.
+/// [`load_trace`], then fail on an empty span tree, sequence gaps or
+/// unmatched span ends.
 fn load_healthy_trace(path: &Path) -> Result<Trace, CliError> {
     let trace = load_trace(path)?;
     if trace.span_count() == 0 {
@@ -732,22 +736,31 @@ fn load_healthy_trace(path: &Path) -> Result<Trace, CliError> {
             trace.skipped_records
         )));
     }
-    gap_free(&trace, path)?;
+    intact(&trace, path)?;
     Ok(trace)
 }
 
-/// Fails when the trace sequence has gaps: records were lost, so no
-/// tree built over it can be called healthy.
-fn gap_free(trace: &Trace, path: &Path) -> Result<(), CliError> {
-    if trace.seq_gaps.is_empty() {
-        return Ok(());
+/// Fails when the trace sequence has gaps or a `span_end` names no
+/// retained start: records were lost or garbled, so no tree built over
+/// them can be called healthy.
+fn intact(trace: &Trace, path: &Path) -> Result<(), CliError> {
+    if !trace.seq_gaps.is_empty() {
+        return Err(CliError::Gate(format!(
+            "{}: trace sequence has {} gap(s): {:?}",
+            path.display(),
+            trace.seq_gaps.len(),
+            trace.seq_gaps
+        )));
     }
-    Err(CliError::Gate(format!(
-        "{}: trace sequence has {} gap(s): {:?}",
-        path.display(),
-        trace.seq_gaps.len(),
-        trace.seq_gaps
-    )))
+    if !trace.stray_ends.is_empty() {
+        return Err(CliError::Gate(format!(
+            "{}: {} span end(s) match no span start: {:?}",
+            path.display(),
+            trace.stray_ends.len(),
+            trace.stray_ends
+        )));
+    }
+    Ok(())
 }
 
 /// Machine-readable [`summary`]: the same artifact-health gates, but
@@ -1561,7 +1574,7 @@ mod tests {
              {\"seq\":2,\"t_ns\":2,\"kind\":\"event\",\"name\":\"measure_retry\"}\n\
              {\"seq\":3,\"t_ns\":3,\"kind\":\"event\",\"name\":\"measure_retry\"}\n\
              {\"seq\":4,\"t_ns\":4,\"kind\":\"event\",\"name\":\"channel_quarantined\"}\n\
-             {\"seq\":5,\"t_ns\":5,\"kind\":\"span_end\",\"name\":\"scan\",\"dur_ns\":5}\n",
+             {\"seq\":5,\"t_ns\":5,\"kind\":\"span_end\",\"name\":\"scan\",\"fields\":{\"dur_ns\":5,\"span\":0}}\n",
         );
         let text = summary(&artifact).unwrap();
         assert!(text.contains("fault health:"), "{text}");
@@ -1571,11 +1584,25 @@ mod tests {
     }
 
     #[test]
+    fn summary_gates_on_span_ends_that_match_no_start() {
+        // the end names seq 1, which is an event: a garbled artifact
+        let artifact = write_temp(
+            "stray-end",
+            "{\"seq\":0,\"t_ns\":0,\"kind\":\"span_start\",\"name\":\"scan\"}\n\
+             {\"seq\":1,\"t_ns\":1,\"kind\":\"event\",\"name\":\"sample\"}\n\
+             {\"seq\":2,\"t_ns\":2,\"kind\":\"span_end\",\"name\":\"scan\",\"fields\":{\"dur_ns\":2,\"span\":1}}\n",
+        );
+        let err = summary(&artifact).unwrap_err();
+        assert_eq!(err.exit_code(), 1, "{err}");
+        assert!(err.to_string().contains("match no span start"), "{err}");
+    }
+
+    #[test]
     fn clean_trace_reports_quiet_fault_health() {
         let artifact = write_temp(
             "fault-quiet",
             "{\"seq\":0,\"t_ns\":0,\"kind\":\"span_start\",\"name\":\"scan\"}\n\
-             {\"seq\":1,\"t_ns\":9,\"kind\":\"span_end\",\"name\":\"scan\",\"dur_ns\":9}\n",
+             {\"seq\":1,\"t_ns\":9,\"kind\":\"span_end\",\"name\":\"scan\",\"fields\":{\"dur_ns\":9,\"span\":0}}\n",
         );
         let text = summary(&artifact).unwrap();
         assert!(
@@ -1593,7 +1620,7 @@ mod tests {
              {\"seq\":2,\"t_ns\":2,\"kind\":\"event\",\"name\":\"failover\",\"fields\":{\"request\":7,\"from\":1,\"to\":0}}\n\
              {\"seq\":3,\"t_ns\":3,\"kind\":\"event\",\"name\":\"failover\",\"fields\":{\"request\":9,\"from\":1,\"to\":0}}\n\
              {\"seq\":4,\"t_ns\":4,\"kind\":\"event\",\"name\":\"shard_recovered\",\"fields\":{\"restarts\":1}}\n\
-             {\"seq\":5,\"t_ns\":5,\"kind\":\"span_end\",\"name\":\"serve_batch\",\"dur_ns\":5}\n",
+             {\"seq\":5,\"t_ns\":5,\"kind\":\"span_end\",\"name\":\"serve_batch\",\"fields\":{\"dur_ns\":5,\"span\":0}}\n",
         );
         let text = summary(&artifact).unwrap();
         assert!(text.contains("shard health:"), "{text}");
@@ -1618,7 +1645,7 @@ mod tests {
         let artifact = write_temp(
             "shard-quiet",
             "{\"seq\":0,\"t_ns\":0,\"kind\":\"span_start\",\"name\":\"scan\"}\n\
-             {\"seq\":1,\"t_ns\":9,\"kind\":\"span_end\",\"name\":\"scan\",\"dur_ns\":9}\n",
+             {\"seq\":1,\"t_ns\":9,\"kind\":\"span_end\",\"name\":\"scan\",\"fields\":{\"dur_ns\":9,\"span\":0}}\n",
         );
         let text = summary(&artifact).unwrap();
         assert!(
@@ -1637,7 +1664,7 @@ mod tests {
              {\"seq\":2,\"t_ns\":2,\"kind\":\"event\",\"name\":\"coalesced\",\"fields\":{\"request\":2,\"leader\":1}}\n\
              {\"seq\":3,\"t_ns\":3,\"kind\":\"event\",\"name\":\"cache_hit\",\"fields\":{\"request\":3,\"kind\":\"probe\"}}\n\
              {\"seq\":4,\"t_ns\":4,\"kind\":\"event\",\"name\":\"cache_hit\",\"fields\":{\"request\":4,\"kind\":\"probe\"}}\n\
-             {\"seq\":5,\"t_ns\":5,\"kind\":\"span_end\",\"name\":\"serve_batch\",\"dur_ns\":5}\n\
+             {\"seq\":5,\"t_ns\":5,\"kind\":\"span_end\",\"name\":\"serve_batch\",\"fields\":{\"dur_ns\":5,\"span\":0}}\n\
              {\"seq\":6,\"t_ns\":6,\"kind\":\"event\",\"name\":\"cache_hit\",\"fields\":{\"request\":5,\"kind\":\"probe\"}}\n",
         );
         let text = summary(&artifact).unwrap();
@@ -1669,7 +1696,7 @@ mod tests {
         let artifact = write_temp(
             "cache-quiet",
             "{\"seq\":0,\"t_ns\":0,\"kind\":\"span_start\",\"name\":\"scan\"}\n\
-             {\"seq\":1,\"t_ns\":9,\"kind\":\"span_end\",\"name\":\"scan\",\"dur_ns\":9}\n",
+             {\"seq\":1,\"t_ns\":9,\"kind\":\"span_end\",\"name\":\"scan\",\"fields\":{\"dur_ns\":9,\"span\":0}}\n",
         );
         let text = summary(&artifact).unwrap();
         assert!(
@@ -1694,13 +1721,13 @@ mod tests {
         let artifact = write_temp(
             "trace-chain",
             "{\"seq\":0,\"t_ns\":100,\"kind\":\"span_start\",\"name\":\"request\",\"fields\":{\"request\":7,\"trace\":153,\"kind\":\"probe\"}}\n\
-             {\"seq\":1,\"t_ns\":150,\"kind\":\"span_end\",\"name\":\"request\",\"fields\":{\"dur_ns\":50}}\n\
+             {\"seq\":1,\"t_ns\":150,\"kind\":\"span_end\",\"name\":\"request\",\"fields\":{\"dur_ns\":50,\"span\":0}}\n\
              {\"seq\":2,\"t_ns\":150,\"kind\":\"span_start\",\"name\":\"serve_batch\",\"fields\":{\"batch\":0}}\n\
              {\"seq\":3,\"t_ns\":150,\"kind\":\"span_start\",\"name\":\"job\",\"fields\":{\"request\":7,\"trace\":153}}\n\
-             {\"seq\":4,\"t_ns\":450,\"kind\":\"span_end\",\"name\":\"job\",\"fields\":{\"dur_ns\":300}}\n\
+             {\"seq\":4,\"t_ns\":450,\"kind\":\"span_end\",\"name\":\"job\",\"fields\":{\"dur_ns\":300,\"span\":3}}\n\
              {\"seq\":5,\"t_ns\":460,\"kind\":\"span_start\",\"name\":\"job\",\"fields\":{\"request\":8,\"trace\":154}}\n\
-             {\"seq\":6,\"t_ns\":470,\"kind\":\"span_end\",\"name\":\"job\",\"fields\":{\"dur_ns\":10}}\n\
-             {\"seq\":7,\"t_ns\":480,\"kind\":\"span_end\",\"name\":\"serve_batch\",\"fields\":{\"dur_ns\":330}}\n",
+             {\"seq\":6,\"t_ns\":470,\"kind\":\"span_end\",\"name\":\"job\",\"fields\":{\"dur_ns\":10,\"span\":5}}\n\
+             {\"seq\":7,\"t_ns\":480,\"kind\":\"span_end\",\"name\":\"serve_batch\",\"fields\":{\"dur_ns\":330,\"span\":2}}\n",
         );
         let text = trace_request(&artifact, 7).unwrap();
         assert!(
@@ -1722,7 +1749,7 @@ mod tests {
         let orphan = write_temp(
             "trace-orphan",
             "{\"seq\":0,\"t_ns\":0,\"kind\":\"span_start\",\"name\":\"job\",\"fields\":{\"request\":9}}\n\
-             {\"seq\":1,\"t_ns\":5,\"kind\":\"span_end\",\"name\":\"job\",\"fields\":{\"dur_ns\":5}}\n",
+             {\"seq\":1,\"t_ns\":5,\"kind\":\"span_end\",\"name\":\"job\",\"fields\":{\"dur_ns\":5,\"span\":0}}\n",
         );
         let err = trace_request(&orphan, 9).unwrap_err();
         assert_eq!(err.exit_code(), 1);
@@ -1741,7 +1768,7 @@ mod tests {
         let gapped = write_temp(
             "trace-gap",
             "{\"seq\":0,\"t_ns\":0,\"kind\":\"span_start\",\"name\":\"request\",\"fields\":{\"request\":3}}\n\
-             {\"seq\":2,\"t_ns\":5,\"kind\":\"span_end\",\"name\":\"request\",\"fields\":{\"dur_ns\":5}}\n",
+             {\"seq\":2,\"t_ns\":5,\"kind\":\"span_end\",\"name\":\"request\",\"fields\":{\"dur_ns\":5,\"span\":0}}\n",
         );
         let err = trace_request(&gapped, 3).unwrap_err();
         assert_eq!(err.exit_code(), 1);
@@ -1753,9 +1780,9 @@ mod tests {
         let artifact = write_temp(
             "slo-windows",
             "{\"seq\":0,\"t_ns\":100,\"kind\":\"span_start\",\"name\":\"request\",\"fields\":{\"request\":1,\"trace\":5}}\n\
-             {\"seq\":1,\"t_ns\":150,\"kind\":\"span_end\",\"name\":\"request\",\"fields\":{\"dur_ns\":50}}\n\
+             {\"seq\":1,\"t_ns\":150,\"kind\":\"span_end\",\"name\":\"request\",\"fields\":{\"dur_ns\":50,\"span\":0}}\n\
              {\"seq\":2,\"t_ns\":900,\"kind\":\"span_start\",\"name\":\"request\",\"fields\":{\"request\":2,\"trace\":6}}\n\
-             {\"seq\":3,\"t_ns\":1300,\"kind\":\"span_end\",\"name\":\"request\",\"fields\":{\"dur_ns\":400}}\n",
+             {\"seq\":3,\"t_ns\":1300,\"kind\":\"span_end\",\"name\":\"request\",\"fields\":{\"dur_ns\":400,\"span\":2}}\n",
         );
         let config = canti_obs::SloConfig {
             window_ns: 1_000,
@@ -1777,7 +1804,7 @@ mod tests {
         let jobs_only = write_temp(
             "slo-empty",
             "{\"seq\":0,\"t_ns\":0,\"kind\":\"span_start\",\"name\":\"job\"}\n\
-             {\"seq\":1,\"t_ns\":5,\"kind\":\"span_end\",\"name\":\"job\",\"fields\":{\"dur_ns\":5}}\n",
+             {\"seq\":1,\"t_ns\":5,\"kind\":\"span_end\",\"name\":\"job\",\"fields\":{\"dur_ns\":5,\"span\":0}}\n",
         );
         let err = slo_report(&jobs_only, config).unwrap_err();
         assert_eq!(err.exit_code(), 1);

@@ -26,8 +26,9 @@ USAGE:
 SUBCOMMANDS:
     summary   Reconstruct the span tree from a telemetry NDJSON artifact
               and print per-stage aggregates plus the critical path.
-              Fails (exit 1) when the span tree is empty or the trace
-              sequence has gaps — CI uses this as an artifact-health gate.
+              Fails (exit 1) when the span tree is empty, the trace
+              sequence has gaps or a span end matches no start — CI uses
+              this as an artifact-health gate.
     flame     Print folded-stack flamegraph lines (`a;b;c <self_ns>`)
               for the same artifact; pipe into flamegraph.pl / inferno.
     diff      Compare per-stage p50/p95/p99 latencies between a baseline
@@ -41,7 +42,8 @@ SUBCOMMANDS:
               'request' span plus every farm 'job' span executed on its
               behalf — and print it with the critical path. Exits 1 when
               the request is absent, orphaned (no admission span),
-              unclosed, or the sequence has gaps — the serve-artifact
+              unclosed, or the sequence has gaps or unmatched span
+              ends — the serve-artifact
               health gate CI runs on the smoke telemetry.
     slo       Recompute deterministic SLO windows offline from the closed
               'request' spans in the artifact, for auditing the live
@@ -93,6 +95,7 @@ OPTIONS (anomaly):
 EXIT CODES:
     0   success / no regression / no anomaly
     1   gate failed (regression, empty span tree, sequence gaps,
+        unmatched span ends,
         missing/orphaned/unclosed request, no request spans, timeline
         recompute mismatch, timeline count drift or missing series)
     2   usage, I/O or parse error

@@ -111,12 +111,14 @@ merged: good=2 breached=1
   window 1 [t=1000 ns): good=0 breached=1 breach=1.000
 ";
 
-/// `obsctl trace` for request 1: the admission-side chain (both request
-/// spans are open concurrently, so reconstruction nests them), the farm
-/// job that executed it, and the critical path between them.
+/// `obsctl trace` for request 1: the admission-side span (each span end
+/// names its start, so request 0's earlier end closes request 0 and both
+/// request spans come back as roots), the farm job that executed it
+/// under the batch opened while request 1 was the innermost open span,
+/// and the critical path between them.
 const GOLDEN_TRACE_1: &str = "request 1: trace 0xc58a01a08ed4811d, 2 owning span(s)
-  request -> request [250 ns] (0 events)
-  request -> request -> serve_batch -> batch -> job [0 ns] (0 events)
+  request [250 ns] (0 events)
+  request -> serve_batch -> batch -> job [0 ns] (0 events)
 critical path: request (250 ns) -> serve_batch (0 ns) -> batch (0 ns) -> job (0 ns)
 ";
 
